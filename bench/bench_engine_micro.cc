@@ -1,7 +1,7 @@
 // Microbenchmarks of the storage substrate (google-benchmark): B+-tree
 // inserts/lookups, heap-file inserts/scans, tuple codec, buffer-pool churn,
-// XML parsing throughput, and multi-threaded SELECT scaling over the shared
-// statement lock. Supporting evidence for DESIGN.md's cost model of the
+// XML parsing throughput, multi-threaded SELECT scaling over the shared
+// statement lock, and the planner's cost on the paper's selective queries. Supporting evidence for DESIGN.md's cost model of the
 // higher-level experiments.
 
 #include <benchmark/benchmark.h>
@@ -13,14 +13,20 @@
 #include <thread>
 #include <vector>
 
+#include "benchutil/fixture.h"
+#include "benchutil/workload.h"
 #include "common/span.h"
 #include "common/varint.h"
+#include "datagen/dtds.h"
+#include "datagen/generators.h"
 #include "ordb/bptree.h"
 #include "ordb/buffer_pool.h"
 #include "ordb/database.h"
 #include "ordb/heap_file.h"
 #include "ordb/pager.h"
+#include "ordb/planner.h"
 #include "ordb/row_codec.h"
+#include "ordb/sql.h"
 #include "ordb/tuple.h"
 #include "xadt/functions.h"
 #include "xml/parser.h"
@@ -541,6 +547,80 @@ void BM_Fig11Qs3Scan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_Fig11Qs3Scan);
+
+// Planner-layer cost of the paper's selective queries (ROADMAP item 2):
+// Planner::PlanSelect alone, on statements parsed once up front, over the
+// Fig. 11 fixture (8 plays at DSx1 with the figure's advisor indexes and
+// runstats, as bench_fig11_shakespeare_queries builds it). One Arg per
+// statement: 0 Hybrid QS4, 1 XORator QS4, 2 Hybrid QS5, 3 XORator QS5.
+// Measured on a shared 4-vCPU Intel Xeon host (g++ 12, Release), before
+// and after name resolution stopped lower-casing copies of every candidate
+// column (DESIGN.md section 18); the median over three interleaved runs of
+// each run's median of 5 repetitions:
+//   stmt:0 Hybrid QS4    87.9 us -> 11.3 us
+//   stmt:1 XORator QS4   90.0 us -> 10.0 us
+//   stmt:2 Hybrid QS5   114.7 us -> 13.7 us
+//   stmt:3 XORator QS5   86.2 us -> 10.6 us
+void BM_PlanSelect(benchmark::State& state) {
+  struct Fixture {
+    benchutil::ExperimentDb hybrid;
+    benchutil::ExperimentDb xorator;
+  };
+  // Shared and deliberately leaked, same reasoning as BM_ConcurrentReaders.
+  static Fixture* fixture = []() -> Fixture* {
+    datagen::ShakespeareOptions gen_opts;
+    gen_opts.plays = 8;
+    auto corpus = datagen::ShakespeareGenerator(gen_opts).GenerateCorpus();
+    std::vector<const xml::Node*> docs;
+    for (const auto& d : corpus) docs.push_back(d.get());
+    benchutil::ExperimentOptions options;
+    for (const benchutil::PaperQuery& q : benchutil::ShakespeareQueries()) {
+      options.advisor_queries.push_back(q.hybrid_sql);
+      options.advisor_queries.push_back(q.xorator_sql);
+    }
+    options.mapping = benchutil::Mapping::kHybrid;
+    auto hybrid = benchutil::BuildExperimentDb(datagen::kShakespeareDtd,
+                                               docs, options);
+    options.mapping = benchutil::Mapping::kXorator;
+    auto xorator = benchutil::BuildExperimentDb(datagen::kShakespeareDtd,
+                                                docs, options);
+    if (!hybrid.ok() || !xorator.ok()) return nullptr;
+    return new Fixture{std::move(*hybrid), std::move(*xorator)};
+  }();
+  if (fixture == nullptr) {
+    state.SkipWithError("Fig. 11 fixture setup failed");
+    return;
+  }
+  const bool is_xorator = state.range(0) % 2 == 1;
+  const std::string id = state.range(0) < 2 ? "QS4" : "QS5";
+  const benchutil::PaperQuery* query = nullptr;
+  for (const benchutil::PaperQuery& q : benchutil::ShakespeareQueries()) {
+    if (q.id == id) query = &q;
+  }
+  if (query == nullptr) {
+    state.SkipWithError("query not in the Shakespeare set");
+    return;
+  }
+  auto parsed =
+      sql::ParseSql(is_xorator ? query->xorator_sql : query->hybrid_sql);
+  if (!parsed.ok()) {
+    state.SkipWithError(parsed.status().ToString().c_str());
+    return;
+  }
+  Database* db = is_xorator ? fixture->xorator.db.get()
+                            : fixture->hybrid.db.get();
+  Planner planner(db->catalog(), db->functions(), db->options().planner);
+  for (auto _ : state) {
+    auto plan = planner.PlanSelect(parsed->select);
+    if (!plan.ok()) {
+      state.SkipWithError(plan.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(*plan);
+  }
+  state.SetLabel((is_xorator ? "XORator " : "Hybrid ") + id);
+}
+BENCHMARK(BM_PlanSelect)->ArgName("stmt")->DenseRange(0, 3);
 
 void BM_XmlParse(benchmark::State& state) {
   std::string doc = "<SPEECH>";

@@ -1,5 +1,8 @@
 #include "ordb/functions.h"
 
+#include <algorithm>
+#include <cctype>
+
 #include "common/str_util.h"
 
 namespace xorator::ordb {
@@ -105,14 +108,23 @@ Status FunctionRegistry::RegisterTable(TableFunction fn) {
   return Status::OK();
 }
 
+bool CaseInsensitiveLess::operator()(std::string_view a,
+                                     std::string_view b) const {
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(), [](char x, char y) {
+        return std::tolower(static_cast<unsigned char>(x)) <
+               std::tolower(static_cast<unsigned char>(y));
+      });
+}
+
 const ScalarFunction* FunctionRegistry::FindScalar(
     std::string_view name) const {
-  auto it = scalar_.find(ToLower(name));
+  auto it = scalar_.find(name);
   return it == scalar_.end() ? nullptr : &it->second;
 }
 
 const TableFunction* FunctionRegistry::FindTable(std::string_view name) const {
-  auto it = table_.find(ToLower(name));
+  auto it = table_.find(name);
   return it == table_.end() ? nullptr : &it->second;
 }
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -43,8 +44,16 @@ struct TableFunction {
   std::function<Result<std::vector<Tuple>>(const std::vector<Value>&)> impl;
 };
 
+/// Case-insensitive ASCII ordering. Transparent, so a lookup by
+/// `string_view` neither builds a key string nor lower-cases a copy.
+struct CaseInsensitiveLess {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const;
+};
+
 /// Name-keyed registry of scalar and table functions. Lookup is
-/// case-insensitive (names are interned lower-case).
+/// case-insensitive and allocation-free (names are interned lower-case and
+/// compared under CaseInsensitiveLess).
 class FunctionRegistry {
  public:
   /// Creates a registry pre-populated with the SQL built-ins
@@ -59,8 +68,8 @@ class FunctionRegistry {
   const TableFunction* FindTable(std::string_view name) const;
 
  private:
-  std::map<std::string, ScalarFunction> scalar_;
-  std::map<std::string, TableFunction> table_;
+  std::map<std::string, ScalarFunction, CaseInsensitiveLess> scalar_;
+  std::map<std::string, TableFunction, CaseInsensitiveLess> table_;
 };
 
 /// Invokes `fn` through the appropriate dispatch path, updating `stats`

@@ -1,8 +1,9 @@
 #include "ordb/planner.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "common/str_util.h"
 
@@ -12,18 +13,30 @@ namespace {
 
 using sql::AstExpr;
 
-bool IsAggregateName(const std::string& name) {
-  std::string lower = ToLower(name);
-  return lower == "count" || lower == "sum" || lower == "min" ||
-         lower == "max";
+/// The aggregate a function name denotes (COUNT as kCount), matched
+/// case-insensitively in place; nullopt for every other name.
+std::optional<AggKind> AggregateKindOf(std::string_view name) {
+  if (EqualsIgnoreCase(name, "count")) return AggKind::kCount;
+  if (EqualsIgnoreCase(name, "sum")) return AggKind::kSum;
+  if (EqualsIgnoreCase(name, "min")) return AggKind::kMin;
+  if (EqualsIgnoreCase(name, "max")) return AggKind::kMax;
+  return std::nullopt;
 }
 
 bool ContainsAggregate(const AstExpr& e) {
-  if (e.kind == AstExpr::Kind::kFunc && IsAggregateName(e.name)) return true;
+  if (e.kind == AstExpr::Kind::kFunc && AggregateKindOf(e.name)) return true;
   for (const auto& c : e.children) {
     if (ContainsAggregate(*c)) return true;
   }
   return false;
+}
+
+/// True if the qualified `column` ("alias.col") ends in `.name`, ignoring
+/// case: `id` matches `emp.id` but neither `emp.deptid` nor `x.xid`.
+bool MatchesUnqualified(std::string_view column, std::string_view name) {
+  return column.size() > name.size() &&
+         column[column.size() - name.size() - 1] == '.' &&
+         EqualsIgnoreCase(column.substr(column.size() - name.size()), name);
 }
 
 /// One FROM entry with its contribution to the combined row layout.
@@ -43,63 +56,85 @@ class Scope {
   struct Resolution {
     size_t global_index;
     size_t item;
+    size_t local;  // column index within the item (its table's schema)
     TypeId type;
-    std::string qualified;
+    const std::string* qualified;  // "alias.col", owned by the FromItem
   };
 
-  Result<Resolution> Resolve(const std::string& name) const {
-    std::string target = ToLower(name);
-    bool qualified = target.find('.') != std::string::npos;
-    const FromItem* found_item = nullptr;
-    Resolution found{};
+  /// Matches `name` case-insensitively and in place: a qualified name
+  /// against the whole "alias.col", an unqualified one against the part
+  /// after a '.' boundary (MatchesUnqualified). Two matches are ambiguous,
+  /// none is unknown.
+  Result<Resolution> Resolve(std::string_view name) const {
+    const bool qualified = name.find('.') != std::string_view::npos;
+    std::optional<Resolution> found;
     for (size_t i = 0; i < items_->size(); ++i) {
       const FromItem& item = (*items_)[i];
       for (size_t c = 0; c < item.columns.size(); ++c) {
-        std::string col = ToLower(item.columns[c].name);
-        bool match = qualified ? col == target
-                               : col.size() > target.size() &&
-                                     col.compare(col.size() - target.size(),
-                                                 target.size(), target) == 0 &&
-                                     col[col.size() - target.size() - 1] == '.';
+        const std::string& col = item.columns[c].name;
+        bool match = qualified ? EqualsIgnoreCase(col, name)
+                               : MatchesUnqualified(col, name);
         if (!match) continue;
-        if (found_item != nullptr) {
-          return Status::InvalidArgument("ambiguous column '" + name + "'");
+        if (found) {
+          return Status::InvalidArgument("ambiguous column '" +
+                                         std::string(name) + "'");
         }
-        found_item = &item;
-        found.global_index = item.offset + c;
-        found.item = i;
-        found.type = item.columns[c].type;
-        found.qualified = item.columns[c].name;
+        found = Resolution{item.offset + c, i, c, item.columns[c].type, &col};
       }
     }
-    if (found_item == nullptr) {
-      return Status::NotFound("unknown column '" + name + "'");
+    if (!found) {
+      return Status::NotFound("unknown column '" + std::string(name) + "'");
     }
-    return found;
+    return *found;
   }
 
  private:
   const std::vector<FromItem>* items_;
 };
 
+/// A column reference node with where it resolved.
+struct ResolvedColumn {
+  const AstExpr* node;
+  Scope::Resolution res;
+};
+
+/// A WHERE conjunct with its column references, resolved once when the
+/// conjuncts are classified, and the FROM items they reference.
+struct Conjunct {
+  const AstExpr* ast;
+  std::vector<ResolvedColumn> columns;
+  std::set<size_t> items;
+  bool consumed = false;
+
+  /// The resolution of `node` if it is one of this conjunct's columns.
+  const Scope::Resolution* Find(const AstExpr* node) const {
+    for (const ResolvedColumn& c : columns) {
+      if (c.node == node) return &c.res;
+    }
+    return nullptr;
+  }
+};
+
 /// Binds AST expressions to executable expressions against the combined
 /// layout, optionally shifted for side-local binding.
 class Binder {
  public:
-  Binder(const Scope* scope, const FunctionRegistry* functions)
-      : scope_(scope), functions_(functions) {}
+  /// Column nodes of `conjuncts` reuse the resolutions recorded there.
+  Binder(const Scope* scope, const FunctionRegistry* functions,
+         const std::vector<Conjunct>* conjuncts)
+      : scope_(scope), functions_(functions), conjuncts_(conjuncts) {}
 
   /// `offset_shift` is subtracted from every resolved global index (to bind
   /// an expression against one side's local layout).
   Result<ExprPtr> Bind(const AstExpr& e, size_t offset_shift = 0) const {
     switch (e.kind) {
       case AstExpr::Kind::kColumn: {
-        XO_ASSIGN_OR_RETURN(auto res, scope_->Resolve(e.name));
+        XO_ASSIGN_OR_RETURN(auto res, Resolve(e));
         if (res.global_index < offset_shift) {
           return Status::Internal("column bound below side offset");
         }
         return ExprPtr(new ColumnRefExpr(res.global_index - offset_shift,
-                                         res.qualified, res.type));
+                                         *res.qualified, res.type));
       }
       case AstExpr::Kind::kLiteral:
         return ExprPtr(new LiteralExpr(e.literal));
@@ -149,21 +184,30 @@ class Binder {
   }
 
  private:
+  Result<Scope::Resolution> Resolve(const AstExpr& column) const {
+    for (const Conjunct& c : *conjuncts_) {
+      if (const Scope::Resolution* res = c.Find(&column)) return *res;
+    }
+    return scope_->Resolve(column.name);
+  }
+
   const Scope* scope_;
   const FunctionRegistry* functions_;
+  const std::vector<Conjunct>* conjuncts_;
 };
 
-void CollectColumnNames(const AstExpr& e, std::vector<std::string>* out) {
-  if (e.kind == AstExpr::Kind::kColumn) out->push_back(e.name);
-  for (const auto& c : e.children) CollectColumnNames(*c, out);
+void CollectColumns(const AstExpr& e, std::vector<const AstExpr*>* out) {
+  if (e.kind == AstExpr::Kind::kColumn) out->push_back(&e);
+  for (const auto& c : e.children) CollectColumns(*c, out);
 }
 
-/// A WHERE conjunct with the FROM items it references.
-struct Conjunct {
-  const AstExpr* ast;
-  std::set<size_t> items;
-  bool consumed = false;
-};
+/// The first index on column `local` of `table`, or null.
+const IndexInfo* IndexOn(const TableInfo& table, size_t local) {
+  for (const IndexInfo* idx : table.indexes) {
+    if (idx->column_index == static_cast<int>(local)) return idx;
+  }
+  return nullptr;
+}
 
 void FlattenConjuncts(const AstExpr& e, std::vector<const AstExpr*>* out) {
   if (e.kind == AstExpr::Kind::kAnd) {
@@ -174,9 +218,10 @@ void FlattenConjuncts(const AstExpr& e, std::vector<const AstExpr*>* out) {
   out->push_back(&e);
 }
 
-/// Crude selectivity model for base-table cardinality estimation.
+/// Crude selectivity model for base-table cardinality estimation. `e` is
+/// (part of) conjunct `c`, whose columns all belong to `table`.
 double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
-                           const Scope& scope) {
+                           const Conjunct& c) {
   switch (e.kind) {
     case AstExpr::Kind::kCompare: {
       if (e.op != CompareOp::kEq) return 0.3;
@@ -190,15 +235,9 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
         col = e.children[1].get();
       }
       if (col != nullptr && table.stats.collected) {
-        auto res = scope.Resolve(col->name);
-        if (res.ok()) {
-          // Map the qualified name back to the table's local column.
-          std::string local = res->qualified.substr(
-              res->qualified.find('.') + 1);
-          int idx = table.schema.ColumnIndex(local);
-          if (idx >= 0 && table.stats.columns[idx].ndv > 0) {
-            return 1.0 / table.stats.columns[idx].ndv;
-          }
+        const Scope::Resolution* res = c.Find(col);
+        if (res != nullptr && table.stats.columns[res->local].ndv > 0) {
+          return 1.0 / table.stats.columns[res->local].ndv;
         }
       }
       return 0.05;
@@ -206,12 +245,12 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
     case AstExpr::Kind::kLike:
       return 0.25;
     case AstExpr::Kind::kAnd:
-      return EstimateSelectivity(*e.children[0], table, scope) *
-             EstimateSelectivity(*e.children[1], table, scope);
+      return EstimateSelectivity(*e.children[0], table, c) *
+             EstimateSelectivity(*e.children[1], table, c);
     case AstExpr::Kind::kOr:
       return std::min(1.0,
-                      EstimateSelectivity(*e.children[0], table, scope) +
-                          EstimateSelectivity(*e.children[1], table, scope));
+                      EstimateSelectivity(*e.children[0], table, c) +
+                          EstimateSelectivity(*e.children[1], table, c));
     default:
       return 0.5;
   }
@@ -266,6 +305,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         return Status::NotFound("unknown table function '" +
                                 ref.function_name + "'");
       }
+      item.columns.reserve(item.function->output.size());
       for (const ColumnDef& c : item.function->output) {
         item.columns.push_back({ref.alias + "." + c.name, c.type});
       }
@@ -274,6 +314,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       if (item.table == nullptr) {
         return Status::NotFound("unknown table '" + ref.table + "'");
       }
+      item.columns.reserve(item.table->schema.columns.size());
       for (const ColumnDef& c : item.table->schema.columns) {
         item.columns.push_back({ref.alias + "." + c.name, c.type});
       }
@@ -283,25 +324,30 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     items.push_back(std::move(item));
   }
   Scope scope(&items);
-  Binder binder(&scope, functions_);
 
-  // ---- Classify WHERE conjuncts by the items they reference. -------------
+  // ---- Classify WHERE conjuncts by the items they reference, resolving --
+  // ---- each column reference once for the rest of planning. -------------
   std::vector<Conjunct> conjuncts;
   if (stmt.where != nullptr) {
     std::vector<const AstExpr*> flat;
     FlattenConjuncts(*stmt.where, &flat);
+    conjuncts.reserve(flat.size());
+    std::vector<const AstExpr*> cols;
     for (const AstExpr* e : flat) {
       Conjunct c;
       c.ast = e;
-      std::vector<std::string> cols;
-      CollectColumnNames(*e, &cols);
-      for (const std::string& name : cols) {
-        XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(name));
+      cols.clear();
+      CollectColumns(*e, &cols);
+      c.columns.reserve(cols.size());
+      for (const AstExpr* col : cols) {
+        XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(col->name));
         c.items.insert(res.item);
+        c.columns.push_back({col, res});
       }
       conjuncts.push_back(std::move(c));
     }
   }
+  Binder binder(&scope, functions_, &conjuncts);
 
   // ---- Build each base access path with pushed-down filters. -------------
   auto base_filters = [&](size_t item_idx) {
@@ -323,7 +369,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     }
     double rows = static_cast<double>(items[i].table->heap->record_count());
     for (Conjunct* c : base_filters(i)) {
-      rows *= EstimateSelectivity(*c->ast, *items[i].table, scope);
+      rows *= EstimateSelectivity(*c->ast, *items[i].table, *c);
     }
     est_rows[i] = std::max(rows, 1.0);
   }
@@ -340,10 +386,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       const AstExpr* col;
       const Value* literal;
       if (!MatchColumnEqLiteral(*c->ast, &col, &literal)) continue;
-      auto res = scope.Resolve(col->name);
-      if (!res.ok() || res->item != i) continue;
-      std::string local = res->qualified.substr(res->qualified.find('.') + 1);
-      const IndexInfo* idx = item.table->FindIndex(local);
+      const Scope::Resolution* res = c->Find(col);
+      if (res == nullptr || res->item != i) continue;
+      const IndexInfo* idx = IndexOn(*item.table, res->local);
       if (idx != nullptr) {
         index_filter = c;
         index = idx;
@@ -389,10 +434,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       // layout (they may reference earlier items only).
       std::vector<ExprPtr> args;
       for (const auto& a : stmt.from[i].function_args) {
-        std::vector<std::string> cols;
-        CollectColumnNames(*a, &cols);
-        for (const std::string& name : cols) {
-          XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(name));
+        std::vector<const AstExpr*> cols;
+        CollectColumns(*a, &cols);
+        for (const AstExpr* col : cols) {
+          XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(col->name));
           if (!joined.count(res.item)) {
             return Status::InvalidArgument(
                 "table function argument references a later FROM item");
@@ -417,6 +462,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
       struct JoinKey {
         const AstExpr* acc_side;
         const AstExpr* item_side;
+        const Scope::Resolution* item_res;
         Conjunct* conjunct;
       };
       std::vector<JoinKey> keys;
@@ -427,12 +473,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
                                              : *c.items.begin();
         if (!joined.count(other)) continue;
         if (!MatchEquiJoin(*c.ast)) continue;
-        XO_ASSIGN_OR_RETURN(auto res0,
-                            scope.Resolve(c.ast->children[0]->name));
         const AstExpr* acc_side = c.ast->children[0].get();
         const AstExpr* item_side = c.ast->children[1].get();
-        if (res0.item == i) std::swap(acc_side, item_side);
-        keys.push_back({acc_side, item_side, &c});
+        if (c.Find(acc_side)->item == i) std::swap(acc_side, item_side);
+        keys.push_back({acc_side, item_side, c.Find(item_side), &c});
       }
       if (keys.empty()) {
         XO_ASSIGN_OR_RETURN(OperatorPtr right, build_base(i));
@@ -461,16 +505,10 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         // with the inner join-key column's distinct count from runstats.
         double ndv_key = est_rows[i];
         if (items[i].table != nullptr && items[i].table->stats.collected &&
-            keys[0].item_side->kind == AstExpr::Kind::kColumn) {
-          auto res = scope.Resolve(keys[0].item_side->name);
-          if (res.ok() && res->item == i) {
-            std::string local =
-                res->qualified.substr(res->qualified.find('.') + 1);
-            int idx = items[i].table->schema.ColumnIndex(local);
-            if (idx >= 0 && items[i].table->stats.columns[idx].ndv > 0) {
-              ndv_key = items[i].table->stats.columns[idx].ndv;
-            }
-          }
+            keys[0].item_res->item == i) {
+          const ColumnStats& stats =
+              items[i].table->stats.columns[keys[0].item_res->local];
+          if (stats.ndv > 0) ndv_key = stats.ndv;
         }
         double join_rows = std::max(
             1.0, acc_rows * est_rows[i] / std::max(ndv_key, 1.0));
@@ -486,12 +524,8 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
           if (acc_rows <= options_.index_join_outer_ratio *
                               std::max(inner_rows, 1.0)) {
             for (JoinKey& k : keys) {
-              if (k.item_side->kind != AstExpr::Kind::kColumn) continue;
-              auto res = scope.Resolve(k.item_side->name);
-              if (!res.ok()) continue;
-              std::string local =
-                  res->qualified.substr(res->qualified.find('.') + 1);
-              const IndexInfo* idx = items[i].table->FindIndex(local);
+              const IndexInfo* idx =
+                  IndexOn(*items[i].table, k.item_res->local);
               if (idx == nullptr) continue;
               // Residual: the remaining join keys (bound to the combined
               // layout).
@@ -605,10 +639,12 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     std::vector<OutputRef> outputs;
     for (const sql::SelectItem& sel : stmt.items) {
       const AstExpr& e = *sel.expr;
-      if (e.kind == AstExpr::Kind::kFunc && IsAggregateName(e.name)) {
+      std::optional<AggKind> agg = e.kind == AstExpr::Kind::kFunc
+                                       ? AggregateKindOf(e.name)
+                                       : std::nullopt;
+      if (agg) {
         AggregateSpec spec;
-        std::string lower = ToLower(e.name);
-        if (lower == "count") {
+        if (*agg == AggKind::kCount) {
           if (e.children.size() == 1 &&
               e.children[0]->kind == AstExpr::Kind::kStar) {
             spec.kind = AggKind::kCountStar;
@@ -622,9 +658,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
           if (e.children.size() != 1) {
             return Status::InvalidArgument(e.name + " takes one argument");
           }
-          spec.kind = lower == "sum" ? AggKind::kSum
-                      : lower == "min" ? AggKind::kMin
-                                       : AggKind::kMax;
+          spec.kind = *agg;
           XO_ASSIGN_OR_RETURN(spec.arg, binder.Bind(*e.children[0]));
         }
         spec.name = item_name(sel);
@@ -701,29 +735,30 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     std::vector<bool> asc;
     for (const sql::OrderItem& o : stmt.order_by) {
       std::string text = o.expr->ToString();
-      int found = -1;
       const auto& cols = plan->columns();
-      for (size_t c = 0; c < cols.size(); ++c) {
-        if (EqualsIgnoreCase(cols[c].name, text)) {
-          found = static_cast<int>(c);
-          break;
-        }
-        // Allow matching the unqualified column suffix.
-        size_t dot = cols[c].name.find('.');
-        if (dot != std::string::npos &&
-            EqualsIgnoreCase(cols[c].name.substr(dot + 1), text)) {
-          found = static_cast<int>(c);
-          break;
+      // An exact select-list name wins; else the name must match exactly
+      // one column's unqualified suffix, the rule Scope::Resolve applies.
+      std::optional<size_t> found;
+      for (size_t c = 0; c < cols.size() && !found; ++c) {
+        if (EqualsIgnoreCase(cols[c].name, text)) found = c;
+      }
+      if (!found) {
+        for (size_t c = 0; c < cols.size(); ++c) {
+          if (!MatchesUnqualified(cols[c].name, text)) continue;
+          if (found) {
+            return Status::InvalidArgument("ambiguous ORDER BY column '" +
+                                           text + "'");
+          }
+          found = c;
         }
       }
-      if (found < 0) {
+      if (!found) {
         return Status::InvalidArgument(
             "ORDER BY expression '" + text +
             "' must reference a select-list column");
       }
       keys.push_back(ExprPtr(new ColumnRefExpr(
-          static_cast<size_t>(found), plan->columns()[found].name,
-          plan->columns()[found].type)));
+          *found, cols[*found].name, cols[*found].type)));
       asc.push_back(o.ascending);
     }
     plan = std::make_unique<SortOp>(std::move(plan), std::move(keys),

@@ -171,5 +171,146 @@ TEST_F(PlannerTest, FromlessQueryRejected) {
   EXPECT_FALSE(db_->Query("SELECT 1").ok());
 }
 
+/// Name-resolution rules (DESIGN.md section 18): case-insensitive matching,
+/// an unqualified name matches a column only after a '.' boundary, and a
+/// name that matches two columns is ambiguous in WHERE and ORDER BY alike.
+class NameResolutionTest : public PlannerTest {
+ protected:
+  void SetUp() override {
+    PlannerTest::SetUp();
+    ASSERT_TRUE(db_->Execute("CREATE TABLE emp (id INTEGER, deptid INTEGER, "
+                             "name VARCHAR)")
+                    .ok());
+    ASSERT_TRUE(db_->Execute("INSERT INTO emp VALUES (1, 20, 'ann'), "
+                             "(2, 10, 'bob'), (3, 30, 'cy')")
+                    .ok());
+    ASSERT_TRUE(
+        db_->Execute("CREATE TABLE dept (id INTEGER, title VARCHAR)").ok());
+    ASSERT_TRUE(db_->Execute("INSERT INTO dept VALUES (10, 'ops'), "
+                             "(20, 'dev'), (30, 'qa')")
+                    .ok());
+    ASSERT_TRUE(db_->Execute("CREATE TABLE x (xid INTEGER)").ok());
+    ASSERT_TRUE(db_->Execute("INSERT INTO x VALUES (7)").ok());
+    ASSERT_TRUE(db_->Execute("CREATE TABLE fx (doc XADT)").ok());
+    ASSERT_TRUE(
+        db_->Execute("INSERT INTO fx VALUES ('<a>1</a><a>2</a>')").ok());
+  }
+
+  /// The first column of `sql`'s rows, as integers.
+  std::vector<int64_t> Ints(const std::string& sql) {
+    std::vector<int64_t> out;
+    auto r = db_->Query(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return out;
+    for (const Tuple& row : r->rows) out.push_back(row[0].AsInt());
+    return out;
+  }
+
+  /// The status code `sql` fails with (kOk if it runs).
+  StatusCode Code(const std::string& sql) {
+    return db_->Query(sql).status().code();
+  }
+};
+
+TEST_F(NameResolutionTest, MixedCaseNamesResolve) {
+  EXPECT_EQ(Ints("SELECT EMP.ID FROM emp WHERE Emp.DeptId = 10"),
+            std::vector<int64_t>{2});
+  EXPECT_EQ(Ints("SELECT Id FROM emp WHERE NAME = 'cy'"),
+            std::vector<int64_t>{3});
+  EXPECT_EQ(Ints("SELECT e.id FROM emp E, dept d WHERE E.DEPTID = D.id "
+                 "AND d.TITLE = 'dev'"),
+            std::vector<int64_t>{1});
+  EXPECT_EQ(Ints("SELECT Count(*) AS n FROM emp"), std::vector<int64_t>{3});
+  EXPECT_EQ(Ints("SELECT MAX(id) AS m FROM emp"), std::vector<int64_t>{3});
+}
+
+TEST_F(NameResolutionTest, UnqualifiedNameMatchesOnlyAfterADot) {
+  // `id` is a suffix of emp.deptid and x.xid, but not after a '.'.
+  EXPECT_EQ(Ints("SELECT id FROM emp, x WHERE id = 2"),
+            std::vector<int64_t>{2});
+  EXPECT_EQ(Code("SELECT id FROM x"), StatusCode::kNotFound);
+  EXPECT_EQ(Code("SELECT xid FROM x WHERE id = 7"), StatusCode::kNotFound);
+}
+
+TEST_F(NameResolutionTest, NameInTwoItemsIsAmbiguousButQualifiedFormsResolve) {
+  auto select = db_->Query("SELECT id FROM emp, dept");
+  EXPECT_EQ(select.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(select.status().message().find("ambiguous column 'id'"),
+            std::string::npos)
+      << select.status().ToString();
+  EXPECT_EQ(Code("SELECT name FROM emp, dept WHERE id = 10"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Ints("SELECT emp.id FROM emp, dept WHERE emp.deptid = dept.id "
+                 "AND dept.id = 30"),
+            std::vector<int64_t>{3});
+  EXPECT_EQ(Ints("SELECT dept.id FROM emp, dept WHERE emp.deptid = dept.id "
+                 "AND emp.id = 1"),
+            std::vector<int64_t>{20});
+}
+
+TEST_F(NameResolutionTest, UnknownColumnAndUnknownFunctionAreErrors) {
+  auto column = db_->Query("SELECT salary FROM emp");
+  EXPECT_EQ(column.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(column.status().message().find("unknown column 'salary'"),
+            std::string::npos);
+  EXPECT_EQ(Code("SELECT emp.salary FROM emp"), StatusCode::kNotFound);
+  auto function = db_->Query("SELECT nosuchfn(name) FROM emp");
+  EXPECT_EQ(function.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(function.status().message().find("unknown function 'nosuchfn'"),
+            std::string::npos);
+  EXPECT_EQ(Code("SELECT s.out FROM fx, table(nosuchfn(doc, 'a')) s"),
+            StatusCode::kNotFound);
+}
+
+TEST_F(NameResolutionTest, TableFunctionOutputColumnsResolve) {
+  auto r = db_->Query(
+      "SELECT s.out FROM fx, table(unnest(fx.doc, 'a')) s "
+      "WHERE S.OUT = '2'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsString(), "2");
+  auto unqualified =
+      db_->Query("SELECT out FROM fx, table(UNNEST(doc, 'a')) s");
+  ASSERT_TRUE(unqualified.ok()) << unqualified.status().ToString();
+  EXPECT_EQ(unqualified->rows.size(), 2u);
+}
+
+TEST_F(NameResolutionTest, UpperCaseUdfNameBinds) {
+  EXPECT_EQ(Ints("SELECT FINDKEYINELM(doc, 'a', '2') FROM fx"),
+            std::vector<int64_t>{1});
+  EXPECT_EQ(Ints("SELECT COUNT(*) AS n FROM fx "
+                 "WHERE FindKeyInElm(doc, 'A', '3') = 1"),
+            std::vector<int64_t>{0});
+}
+
+TEST_F(NameResolutionTest, AmbiguousOrderByColumnRejected) {
+  // Regression: ORDER BY used to take the first column whose suffix
+  // matched, silently sorting by emp.id.
+  auto r = db_->Query(
+      "SELECT emp.id, dept.id FROM emp, dept WHERE emp.deptid = dept.id "
+      "ORDER BY id");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("ambiguous ORDER BY column 'id'"),
+            std::string::npos)
+      << r.status().ToString();
+  // Each qualified form still sorts by its own column.
+  EXPECT_EQ(Ints("SELECT emp.id, dept.id FROM emp, dept "
+                 "WHERE emp.deptid = dept.id ORDER BY dept.id"),
+            (std::vector<int64_t>{2, 1, 3}));
+  EXPECT_EQ(Ints("SELECT emp.id, dept.id FROM emp, dept "
+                 "WHERE emp.deptid = dept.id ORDER BY EMP.ID DESC"),
+            (std::vector<int64_t>{3, 2, 1}));
+}
+
+TEST_F(NameResolutionTest, OrderByExactSelectNameBeatsSuffixMatch) {
+  // `id` names the second column exactly and suffix-matches the first;
+  // the exact name wins.
+  EXPECT_EQ(Ints("SELECT emp.id, deptid AS id FROM emp ORDER BY id"),
+            (std::vector<int64_t>{2, 1, 3}));
+  // A unique suffix match still works.
+  EXPECT_EQ(Ints("SELECT emp.id FROM emp ORDER BY id DESC"),
+            (std::vector<int64_t>{3, 2, 1}));
+}
+
 }  // namespace
 }  // namespace xorator::ordb
