@@ -9,8 +9,9 @@
 // retry-after) in a small fraction of the service time — an overloaded
 // server drains its backlog at rejection speed, not service speed.
 //
-// `--json=PATH` additionally writes the numbers as a JSON document (the
-// checked-in BENCH_server.json is this output). Knobs: XORATOR_OPS
+// `--json=PATH` additionally writes the numbers as a JSON document, with
+// the host's CPU count and the build type (the checked-in
+// BENCH_server.json is this output from a Release build). Knobs: XORATOR_OPS
 // (requests per connection), XORATOR_FULL=1 for the larger corpus.
 
 #include <algorithm>
@@ -315,8 +316,12 @@ int Run(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"bench_server\",\n  \"ops_per_connection\": "
-        << ops << ",\n  \"load\": [\n";
+    // The host and build travel with the numbers: a 1-CPU host or a
+    // non-Release build is not comparable with a 4-CPU Release run.
+    out << "{\n  \"benchmark\": \"bench_server\",\n  \"num_cpus\": "
+        << std::thread::hardware_concurrency()
+        << ",\n  \"build_type\": \"" << BENCH_BUILD_TYPE
+        << "\",\n  \"ops_per_connection\": " << ops << ",\n  \"load\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
       const LoadPoint& p = points[i];
       out << "    {\"connections\": " << p.connections

@@ -1,5 +1,8 @@
 #include "server/server.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <utility>
 
 #include "ordb/health.h"
@@ -10,15 +13,11 @@ namespace xorator::server {
 namespace {
 
 /// Acceptor poll granularity: how often the accept loop wakes to check for
-/// shutdown and reap finished connection threads.
+/// shutdown, reap finished connection threads and probe for disconnects.
 constexpr int64_t kAcceptTickMillis = 50;
 
-/// Connection-thread poll granularity while its statement is queued or
-/// running: each tick re-checks completion and probes the socket for a
-/// client disconnect.
-constexpr int64_t kDisconnectProbeMillis = 20;
-
-/// Shutdown drain poll granularity.
+/// Shutdown drain poll granularity (the drain also probes for
+/// disconnects, since the acceptor has stopped by then).
 constexpr int64_t kDrainTickMillis = 20;
 
 /// Renders a QueryResult into the wire shape (values become their display
@@ -63,12 +62,6 @@ Result<std::unique_ptr<Server>> Server::Start(ordb::Database* db,
       server->listener_,
       Listen(options.port, static_cast<int>(options.max_connections) + 16));
   ASSIGN_OR_RETURN(server->port_, BoundPort(server->listener_));
-  const size_t workers =
-      options.worker_threads == 0 ? 1 : options.worker_threads;
-  server->workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
-  }
   server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
@@ -96,6 +89,7 @@ void Server::AcceptLoop() {
     for (const std::unique_ptr<Connection>& conn : finished) {
       conn->thread.join();
     }
+    ProbeConnections();
 
     Result<Socket> accepted =
         Accept(listener_, Deadline::After(kAcceptTickMillis));
@@ -257,109 +251,163 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     }
   }
 
-  auto task = std::make_shared<Task>();
-  task->type = type;
-  task->request = std::move(request);
-
-  Status rejection = Status::OK();
+  ordb::QueryOptions query_options;
+  query_options.max_memory_bytes = request.max_memory_bytes;
+  query_options.skip_quarantined = request.skip_quarantined;
+  Status admitted = Status::OK();
   {
     xo::MutexLock lock(&mu_);
-    if (draining_) {
-      ++stats_.statements_rejected_draining;
-      rejection = Status::Unavailable("server is shutting down");
-    } else if (queue_.size() >= options_.max_queue_depth) {
-      // Admission control: reject fast instead of queuing into collapse.
-      ++stats_.statements_rejected_queue;
-      rejection =
-          Status::ResourceExhausted("statement queue full (" +
-                                    std::to_string(options_.max_queue_depth) +
-                                    " statements queued)")
-              .WithRetryAfter(options_.retry_after_millis);
-    } else {
-      task->server_query_id = next_server_query_id_++;
-      task->admitted_at = std::chrono::steady_clock::now();
-      ++stats_.statements_admitted;
-      ++in_flight_;
-      queue_.push_back(task);
-      stats_.queue_depth = queue_.size();
-      if (stats_.queue_depth > stats_.peak_queue_depth) {
-        stats_.peak_queue_depth = stats_.queue_depth;
-      }
-      tasks_[task->server_query_id] = task;
-      if (task->request.query_id != 0) {
-        by_client_id_[task->request.query_id] = task;
-      }
-      work_cv_.Signal();
-    }
+    admitted = AdmitLocked(conn, request, &query_options);
   }
-  if (!rejection.ok()) {
-    SendError(conn, rejection);
+  if (!admitted.ok()) {
+    SendError(conn, admitted);
     return;
   }
 
-  // Wait for the worker, watching the socket: a client that disconnects
-  // mid-query gets its statement cancelled instead of burning a worker for
-  // nobody.
-  bool probe_disconnect = true;
-  for (;;) {
-    bool fire_cancel = false;
-    {
-      xo::MutexLock lock(&mu_);
-      if (task->done) break;
-      if (probe_disconnect && !task->cancel_requested &&
-          PeerDisconnected(conn->socket)) {
-        task->cancel_requested = true;
-        task->abandoned = true;
-        probe_disconnect = false;
-        fire_cancel = true;
-        ++stats_.cancelled_on_disconnect;
-      }
-      if (!fire_cancel) {
-        // Wake on the completion broadcast or the next disconnect probe
-        // tick; spurious wakeups just re-run the checks.
-        done_cv_.WaitFor(&mu_, kDisconnectProbeMillis);
-        continue;
-      }
-    }
-    // Engine call outside the server lock (class comment). Cancel only
-    // touches the engine's leaf guard registry and never blocks; NotFound
-    // means the task is still queued (the worker honors cancel_requested
-    // at pickup) or already finished.
-    Status cancelled = db_->Cancel(task->server_query_id);
-    cancelled.IgnoreError();
-  }
-
   std::string response;
-  bool abandoned;
+  Status outcome = Status::OK();
+  if (type == FrameType::kExecute) {
+    outcome = db_->Execute(request.sql, query_options);
+    if (outcome.ok()) response = EncodeResultOrError(ResultPayload{});
+  } else {
+    Result<ordb::QueryResult> result = db_->Query(request.sql, query_options);
+    outcome = result.status();
+    if (outcome.ok()) response = EncodeResultOrError(RenderResult(*result));
+  }
+  if (!outcome.ok()) response = EncodeError(ErrorFromStatus(outcome));
+
   {
     xo::MutexLock lock(&mu_);
-    response = std::move(task->response);
-    abandoned = task->abandoned || response.empty();
+    if (outcome.ok()) {
+      ++stats_.statements_ok;
+    } else {
+      ++stats_.statements_error;
+    }
+    conn->stage = Stage::kIdle;
+    ReleaseSlotLocked();
   }
-  if (!abandoned) {
-    SendFrame(conn, response);
+  // A client that disconnected mid-statement makes this send fail; the
+  // read loop then observes the dead socket and ends the connection.
+  SendFrame(conn, response);
+}
+
+Status Server::AdmitLocked(Connection* conn, const QueryRequest& request,
+                           ordb::QueryOptions* query_options) {
+  const size_t slots =
+      options_.worker_threads == 0 ? 1 : options_.worker_threads;
+  if (draining_) {
+    ++stats_.statements_rejected_draining;
+    return Status::Unavailable("server is shutting down");
   }
+  if (running_ >= slots && waiters_.size() >= options_.max_queue_depth) {
+    // Admission control: reject fast instead of queuing into collapse.
+    ++stats_.statements_rejected_queue;
+    return Status::ResourceExhausted("statement queue full (" +
+                                     std::to_string(options_.max_queue_depth) +
+                                     " statements queued)")
+        .WithRetryAfter(options_.retry_after_millis);
+  }
+  ++stats_.statements_admitted;
+  conn->server_query_id = next_server_query_id_++;
+  conn->client_query_id = request.query_id;
+  conn->cancel_requested = false;
+  query_options->query_id = conn->server_query_id;
+  if (running_ < slots) {
+    ++running_;
+    conn->stage = Stage::kRunning;
+  } else {
+    conn->stage = Stage::kWaiting;
+    waiters_.push_back(conn);
+    stats_.queue_depth = waiters_.size();
+    if (stats_.queue_depth > stats_.peak_queue_depth) {
+      stats_.peak_queue_depth = stats_.queue_depth;
+    }
+  }
+
+  // The deadline is measured from admission: the wait for a slot counts
+  // against it, and a statement whose deadline runs out there is answered
+  // without touching the engine — an overloaded server drains its backlog
+  // at rejection speed, not service speed.
+  const auto admitted_at = std::chrono::steady_clock::now();
+  const uint64_t deadline = request.deadline_millis;
+  Status outcome = Status::OK();
+  for (;;) {
+    uint64_t left = 0;  // no deadline
+    if (deadline > 0) {
+      const auto waited = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - admitted_at)
+              .count());
+      if (waited >= deadline) {
+        outcome = Status::DeadlineExceeded(
+            "deadline of " + std::to_string(deadline) + "ms expired after " +
+            std::to_string(waited) + "ms in the admission queue");
+        break;
+      }
+      left = deadline - waited;
+      query_options->deadline_millis = left;
+    }
+    if (conn->cancel_requested) {
+      outcome = Status::Cancelled("statement cancelled while queued");
+      break;
+    }
+    if (conn->stage == Stage::kRunning) return outcome;
+    // Woken when ReleaseSlotLocked hands this statement a slot or it is
+    // cancelled; a timeout re-checks the deadline at the top. The timed
+    // wait is clamped so its clock arithmetic cannot overflow on a huge
+    // client deadline.
+    if (left == 0) {
+      conn->wake.Wait(&mu_);
+    } else {
+      conn->wake.WaitFor(
+          &mu_, static_cast<int64_t>(std::min<uint64_t>(left, INT32_MAX)));
+    }
+  }
+  if (conn->stage == Stage::kRunning) {
+    // Handed a slot in the same instant: pass it on.
+    ReleaseSlotLocked();
+  } else {
+    std::erase(waiters_, conn);
+    stats_.queue_depth = waiters_.size();
+  }
+  conn->stage = Stage::kIdle;
+  ++stats_.statements_error;
+  return outcome;
+}
+
+void Server::ReleaseSlotLocked() {
+  if (waiters_.empty()) {
+    if (--running_ == 0) idle_cv_.SignalAll();
+    return;
+  }
+  // First come, first served: the slot passes straight to the oldest
+  // waiter, so neither a newcomer nor a later waiter can take it first.
+  Connection* next = waiters_.front();
+  waiters_.pop_front();
+  stats_.queue_depth = waiters_.size();
+  next->stage = Stage::kRunning;
+  next->wake.Signal();
 }
 
 void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
-  uint64_t server_id = 0;
+  bool found = false;
+  std::vector<uint64_t> running;
   {
     xo::MutexLock lock(&mu_);
-    auto it = by_client_id_.find(request.query_id);
-    if (it != by_client_id_.end()) {
-      it->second->cancel_requested = true;
-      server_id = it->second->server_query_id;
+    for (const std::unique_ptr<Connection>& other : connections_) {
+      if (other->stage != Stage::kIdle && request.query_id != 0 &&
+          other->client_query_id == request.query_id) {
+        found = true;
+        RequestCancelLocked(other.get(), &running);
+      }
     }
   }
-  if (server_id == 0) {
+  if (!found) {
     SendError(conn, Status::NotFound("no in-flight statement with query id " +
                                      std::to_string(request.query_id)));
     return;
   }
-  // Reaches the statement if it is already running; a still-queued one is
-  // covered by the cancel_requested flag the worker checks at pickup.
-  Status cancelled = db_->Cancel(server_id);
-  cancelled.IgnoreError();
+  CancelRunning(running);
   SendFrame(conn, EncodeResultOrError(ResultPayload{}));
 }
 
@@ -391,95 +439,44 @@ void Server::HandleStats(Connection* conn) {
   SendFrame(conn, EncodeStats(stats));
 }
 
-Server::TaskOutcome Server::RunTask(Task* task) {
-  // The deadline is measured from admission: queue wait counts against the
-  // budget, and a statement that died in the queue is answered without
-  // touching the engine — an overloaded server drains its backlog at
-  // rejection speed, not service speed.
-  ordb::QueryOptions query_options;
-  query_options.max_memory_bytes = task->request.max_memory_bytes;
-  query_options.query_id = task->server_query_id;
-  query_options.skip_quarantined = task->request.skip_quarantined;
-  if (task->request.deadline_millis > 0) {
-    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() -
-                            task->admitted_at)
-                            .count();
-    if (waited >= static_cast<int64_t>(task->request.deadline_millis)) {
-      return {EncodeError(ErrorFromStatus(Status::DeadlineExceeded(
-                  "deadline of " +
-                  std::to_string(task->request.deadline_millis) +
-                  "ms expired after " + std::to_string(waited) +
-                  "ms in the admission queue"))),
-              false};
-    }
-    query_options.deadline_millis =
-        task->request.deadline_millis - static_cast<uint64_t>(waited);
+void Server::RequestCancelLocked(Connection* conn,
+                                 std::vector<uint64_t>* running) {
+  conn->cancel_requested = true;
+  if (conn->stage == Stage::kRunning) {
+    running->push_back(conn->server_query_id);
   }
-
-  if (task->type == FrameType::kExecute) {
-    Status executed = db_->Execute(task->request.sql, query_options);
-    if (!executed.ok()) {
-      return {EncodeError(ErrorFromStatus(executed)), false};
-    }
-    return {EncodeResultOrError(ResultPayload{}), true};
-  }
-  Result<ordb::QueryResult> result =
-      db_->Query(task->request.sql, query_options);
-  if (!result.ok()) {
-    return {EncodeError(ErrorFromStatus(result.status())), false};
-  }
-  return {EncodeResultOrError(RenderResult(result.value())), true};
+  conn->wake.Signal();
 }
 
-void Server::WorkerLoop() {
-  for (;;) {
-    std::shared_ptr<Task> task;
-    {
-      xo::MutexLock lock(&mu_);
-      while (queue_.empty() && !stopping_) {
-        work_cv_.Wait(&mu_);
-      }
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = queue_.front();
-      queue_.pop_front();
-      stats_.queue_depth = queue_.size();
-      task->started = true;
-      if (task->cancel_requested) {
-        // Cancelled (or abandoned) while queued: answer without running.
-        task->response = EncodeError(ErrorFromStatus(
-            Status::Cancelled("statement cancelled while queued")));
-        task->done = true;
-        ++stats_.statements_error;
-        FinishTaskLocked(task);
-        continue;
-      }
-    }
+void Server::CancelRunning(const std::vector<uint64_t>& running) {
+  // Cancel only touches the engine's leaf guard registry and never blocks;
+  // NotFound means the statement finished, or has not registered its guard
+  // yet (the next probe tick cancels it again).
+  for (uint64_t id : running) {
+    Status cancelled = db_->Cancel(id);
+    cancelled.IgnoreError();
+  }
+}
 
-    TaskOutcome outcome = RunTask(task.get());
-
+void Server::ProbeConnections() {
+  std::vector<uint64_t> running;
+  {
     xo::MutexLock lock(&mu_);
-    if (outcome.ok) {
-      ++stats_.statements_ok;
-    } else {
-      ++stats_.statements_error;
-    }
-    task->response = std::move(outcome.frame);
-    task->done = true;
-    FinishTaskLocked(task);
-  }
-}
-
-void Server::FinishTaskLocked(const std::shared_ptr<Task>& task) {
-  tasks_.erase(task->server_query_id);
-  if (task->request.query_id != 0) {
-    auto it = by_client_id_.find(task->request.query_id);
-    if (it != by_client_id_.end() && it->second == task) {
-      by_client_id_.erase(it);
+    for (const std::unique_ptr<Connection>& conn : connections_) {
+      if (conn->stage == Stage::kIdle) continue;
+      if (conn->cancel_requested) {
+        if (conn->stage == Stage::kRunning) {
+          running.push_back(conn->server_query_id);
+        }
+      } else if (PeerDisconnected(conn->socket)) {
+        // A client that went away gets its statement cancelled instead of
+        // burning a run slot for nobody.
+        ++stats_.cancelled_on_disconnect;
+        RequestCancelLocked(conn.get(), &running);
+      }
     }
   }
-  --in_flight_;
-  done_cv_.SignalAll();
+  CancelRunning(running);
 }
 
 void Server::SendFrame(Connection* conn, std::string_view frame) {
@@ -501,7 +498,7 @@ void Server::Shutdown() {
     if (draining_) {
       // Another thread is mid-shutdown; wait for it to finish.
       while (!shut_down_) {
-        done_cv_.WaitFor(&mu_, kDrainTickMillis);
+        idle_cv_.Wait(&mu_);
       }
       return;
     }
@@ -519,36 +516,28 @@ void Server::Shutdown() {
 
   // Drain: let in-flight statements finish for the grace window.
   const Deadline drain = Deadline::After(options_.drain_timeout_millis);
+  for (;;) {
+    {
+      xo::MutexLock lock(&mu_);
+      // Waiters imply running statements: a freed slot passes to a waiter.
+      if (running_ == 0 || drain.Expired()) break;
+      idle_cv_.WaitFor(&mu_, kDrainTickMillis);
+    }
+    ProbeConnections();
+  }
+  // Hard timeout: cancel every straggler. Waiting statements leave the gate
+  // with kCancelled, so every admitted statement gets a response; running
+  // ones stop at their guard's next checkpoint.
   std::vector<uint64_t> running;
   {
     xo::MutexLock lock(&mu_);
-    while (in_flight_ > 0 && !drain.Expired()) {
-      done_cv_.WaitFor(&mu_, kDrainTickMillis);
-    }
-    // Hard timeout: cancel every straggler. Queued tasks die at pickup via
-    // cancel_requested; running ones via their query guard.
-    for (const auto& [id, task] : tasks_) {
-      task->cancel_requested = true;
-      if (task->started && !task->done) {
-        running.push_back(id);
+    for (const std::unique_ptr<Connection>& conn : connections_) {
+      if (conn->stage != Stage::kIdle) {
+        RequestCancelLocked(conn.get(), &running);
       }
     }
   }
-  for (uint64_t id : running) {
-    Status cancelled = db_->Cancel(id);
-    cancelled.IgnoreError();
-  }
-
-  // Stop the workers. They first drain the (now fully cancelled) queue —
-  // every admitted statement gets a response — then exit.
-  {
-    xo::MutexLock lock(&mu_);
-    stopping_ = true;
-    work_cv_.SignalAll();
-  }
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
+  CancelRunning(running);
 
   // End the connections. Read-half only: a thread blocked in its idle
   // header read wakes with EOF and exits, while a thread still sending the
@@ -568,7 +557,7 @@ void Server::Shutdown() {
 
   xo::MutexLock lock(&mu_);
   shut_down_ = true;
-  done_cv_.SignalAll();
+  idle_cv_.SignalAll();
 }
 
 ServerStats Server::server_stats() const {

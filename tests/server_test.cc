@@ -1,14 +1,16 @@
 // End-to-end tests of the network front end (DESIGN.md section 17): the
-// thread-pool socket server (src/server/server.h), the wire protocol, and
-// the retrying client — exercised over real loopback sockets against a
-// live Database.
+// socket server (src/server/server.h), the wire protocol, and the
+// retrying client — exercised over real loopback sockets against a live
+// Database.
 //
 // The robustness contract under test:
-//   * admission control (connection cap + bounded statement queue) rejects
-//     excess load fast with a retryable kResourceExhausted + retry-after;
+//   * admission control (connection cap + a gate with bounded run slots and
+//     waiters) rejects excess load fast with a retryable
+//     kResourceExhausted + retry-after;
 //   * deadlines propagate from the frame into the engine's query guard,
-//     measured from admission so queue wait counts;
-//   * a client that disconnects mid-query gets its statement cancelled;
+//     measured from admission so the wait at the gate counts;
+//   * a client that disconnects while its statement waits or runs gets it
+//     cancelled, and CANCEL reaches every statement carrying its id;
 //   * mutations are shed with the health latch's own status while the
 //     engine is read-only, and STATS advertises the degraded state;
 //   * Shutdown() drains in-flight statements before closing.
@@ -122,6 +124,43 @@ ClientOptions ClientFor(const Server& srv, int max_retries = 0) {
   return options;
 }
 
+/// A `gate(x)` UDF that blocks every call until the test opens it (the
+/// 10 s timeout turns a wedged test into a clean failure), counting calls.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<int> calls{0};
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+std::shared_ptr<Gate> RegisterGate(ordb::Database* db) {
+  auto gate = std::make_shared<Gate>();
+  ordb::ScalarFunction fn;
+  fn.name = "gate";
+  fn.return_type = ordb::TypeId::kInteger;
+  fn.arity = 1;
+  fn.impl =
+      [gate](const std::vector<ordb::Value>& args) -> Result<ordb::Value> {
+    gate->calls.fetch_add(1);
+    std::unique_lock<std::mutex> lock(gate->mu);
+    if (!gate->cv.wait_for(lock, std::chrono::seconds(10),
+                           [&gate] { return gate->open; })) {
+      return Status::Internal("gate timed out");
+    }
+    return args[0];
+  };
+  EXPECT_TRUE(db->functions()->RegisterScalar(std::move(fn)).ok());
+  return gate;
+}
+
 std::optional<std::string> FindRow(const server::StatsPayload& stats,
                                    const std::string& name) {
   for (const auto& [key, value] : stats.rows) {
@@ -224,29 +263,7 @@ TEST(ServerTest, ConnectionCapRejectsFastWithRetryableHint) {
 
 TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
   auto db = MakeDb();
-
-  // A gate UDF that blocks its statement until the test releases it (the
-  // 10 s timeout turns a wedged test into a clean failure).
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  auto gate = std::make_shared<Gate>();
-  ordb::ScalarFunction fn;
-  fn.name = "gate";
-  fn.return_type = ordb::TypeId::kInteger;
-  fn.arity = 1;
-  fn.impl =
-      [gate](const std::vector<ordb::Value>& args) -> Result<ordb::Value> {
-    std::unique_lock<std::mutex> lock(gate->mu);
-    if (!gate->cv.wait_for(lock, std::chrono::seconds(10),
-                           [&gate] { return gate->open; })) {
-      return Status::Internal("gate timed out");
-    }
-    return args[0];
-  };
-  ASSERT_TRUE(db->functions()->RegisterScalar(std::move(fn)).ok());
+  auto gate = RegisterGate(db.get());
 
   ServerOptions options;
   options.worker_threads = 1;
@@ -301,11 +318,7 @@ TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
 
   // Hold the gate past the queued statement's deadline, then release.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  {
-    std::lock_guard<std::mutex> lock(gate->mu);
-    gate->open = true;
-  }
-  gate->cv.notify_all();
+  gate->Open();
   blocked.join();
   queued.join();
 
@@ -314,6 +327,44 @@ TEST(ServerTest, QueueCapRejectsAndQueueWaitCountsAgainstTheDeadline) {
   EXPECT_EQ(stats.peak_queue_depth, 1u);
   EXPECT_EQ(stats.statements_admitted, 2u);
   EXPECT_EQ(stats.statements_ok + stats.statements_error, 2u);
+}
+
+TEST(ServerTest, ZeroQueueDepthRunsOnAFreeSlotAndNeverWaits) {
+  auto db = MakeDb();
+  auto gate = RegisterGate(db.get());
+
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.max_queue_depth = 0;
+  options.retry_after_millis = 11;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // The slot is free: the statement runs instead of being turned away.
+  Client client(ClientFor(*srv));
+  auto ran = client.Query("SELECT a FROM t");
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+
+  // The slot is busy and no statement may wait: rejected at once.
+  std::thread blocked([&] {
+    Client holder(ClientFor(*srv));
+    auto r = holder.Query("SELECT gate(a) FROM t");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  ASSERT_TRUE(PollUntil(
+      [&] { return srv->server_stats().statements_admitted == 2; }, 5000));
+  auto rejected = client.Query("SELECT a FROM t");
+  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
+      << rejected.status().ToString();
+  EXPECT_EQ(rejected.status().retry_after_millis(), 11u);
+  gate->Open();
+  blocked.join();
+
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_rejected_queue, 1u);
+  EXPECT_EQ(stats.peak_queue_depth, 0u);
+  EXPECT_EQ(stats.statements_ok, 2u);
 }
 
 TEST(ServerTest, DeadlinePropagatesIntoTheEngine) {
@@ -384,6 +435,63 @@ TEST(ServerTest, DisconnectMidQueryCancelsTheStatement) {
       [&] { return db->buffer_pool()->PinnedFrameCount() == 0; }, 5000));
 }
 
+TEST(ServerTest, DisconnectWhileWaitingCancelsBeforeTheEngine) {
+  auto db = MakeDb();
+  auto gate = RegisterGate(db.get());
+
+  ServerOptions options;
+  options.worker_threads = 1;
+  auto started = Server::Start(db.get(), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // The only run slot is held inside the gate.
+  std::thread blocked([&] {
+    Client client(ClientFor(*srv));
+    auto r = client.Query("SELECT gate(a) FROM t");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  ASSERT_TRUE(PollUntil(
+      [&] { return srv->server_stats().statements_admitted == 1; }, 5000));
+
+  // A raw client queues a gate statement behind it, then vanishes.
+  {
+    auto connected = server::Connect("127.0.0.1", srv->port(),
+                                     server::Deadline::After(1000));
+    ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+    server::Socket socket = std::move(*connected);
+    server::QueryRequest request;
+    request.sql = "SELECT gate(a) FROM t";
+    ASSERT_TRUE(
+        server::WriteFull(
+            socket,
+            server::EncodeQueryRequest(server::FrameType::kQuery, request),
+            server::Deadline::After(1000))
+            .ok());
+    ASSERT_TRUE(PollUntil(
+        [&] { return srv->server_stats().queue_depth == 1; }, 5000));
+  }  // socket closes here, while the statement waits
+
+  // The waiting statement is cancelled and leaves the gate while the slot
+  // is still held, so it never reaches the engine.
+  EXPECT_TRUE(PollUntil(
+      [&] {
+        const ServerStats s = srv->server_stats();
+        return s.cancelled_on_disconnect == 1 && s.queue_depth == 0;
+      },
+      5000))
+      << "disconnect was never noticed";
+  gate->Open();
+  blocked.join();
+
+  // Three rows of t, all from the blocked statement.
+  EXPECT_EQ(gate->calls.load(), 3);
+  const ServerStats stats = srv->server_stats();
+  EXPECT_EQ(stats.statements_admitted, 2u);
+  EXPECT_EQ(stats.statements_ok, 1u);
+  EXPECT_EQ(stats.statements_error, 1u);
+}
+
 TEST(ServerTest, CancelReachesAcrossConnections) {
   auto db = MakeDb();
   auto started = Server::Start(db.get());
@@ -416,6 +524,42 @@ TEST(ServerTest, CancelReachesAcrossConnections) {
       5000))
       << "cancel never found the statement";
   victim.join();
+  EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
+}
+
+TEST(ServerTest, CancelReachesEveryStatementSharingAClientId) {
+  auto db = MakeDb();
+  auto started = Server::Start(db.get());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  // Two connections run slow statements under the same client query_id.
+  constexpr uint64_t kQueryId = 7;
+  auto victim = [&] {
+    Client client(ClientFor(*srv));
+    CallOptions call;
+    call.query_id = kQueryId;
+    auto r = client.Query(kSlowSql, call);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+        << r.status().ToString();
+  };
+  std::thread first(victim);
+  std::thread second(victim);
+  ASSERT_TRUE(PollUntil(
+      [&] { return srv->server_stats().statements_admitted == 2; }, 5000));
+
+  // A third statement with the same id starts and finishes meanwhile.
+  Client other(ClientFor(*srv));
+  CallOptions call;
+  call.query_id = kQueryId;
+  ASSERT_TRUE(other.Query("SELECT a FROM t", call).ok());
+
+  // One CANCEL still reaches both running statements.
+  Status cancelled = other.Cancel(kQueryId);
+  EXPECT_TRUE(cancelled.ok()) << cancelled.ToString();
+  first.join();
+  second.join();
   EXPECT_EQ(db->buffer_pool()->PinnedFrameCount(), 0u);
 }
 
