@@ -675,6 +675,9 @@ int main(int argc, char** argv) {
   int argc2 = static_cast<int>(argv2.size());
   benchmark::Initialize(&argc2, argv2.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
+  // google-benchmark's own library_build_type describes the benchmark
+  // library, not the xorator code under test.
+  benchmark::AddCustomContext("xorator_build_type", BENCH_BUILD_TYPE);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -345,18 +345,22 @@ Status Database::Cancel(uint64_t query_id) {
   return Status::OK();
 }
 
+Result<std::string> Database::ExplainSelect(const sql::SelectStmt& stmt,
+                                           QueryGuard* guard) {
+  Planner planner(&catalog_, &functions_, options_.planner);
+  XO_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(stmt));
+  std::string text = plan->Explain();
+  if (guard != nullptr) text += "\n" + guard->StatsLine();
+  return text;
+}
+
 Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
-                                        bool explain_only, QueryGuard* guard,
+                                        QueryGuard* guard,
                                         bool skip_quarantined) {
   Planner planner(&catalog_, &functions_, options_.planner);
   XO_ASSIGN_OR_RETURN(OperatorPtr plan, planner.PlanSelect(stmt));
   QueryResult result;
-  result.plan = plan->Explain();
   for (const ColumnMeta& c : plan->columns()) result.columns.push_back(c.name);
-  if (explain_only) {
-    if (guard != nullptr) result.plan += "\n" + guard->StatsLine();
-    return result;
-  }
 
   ExecContext ctx;
   ctx.functions = &functions_;
@@ -384,7 +388,7 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
         break;
       }
       if (!*ok) break;
-      result.rows.push_back(row);
+      result.rows.push_back(std::move(row));
       if (stmt.limit >= 0 &&
           result.rows.size() >= static_cast<size_t>(stmt.limit)) {
         break;
@@ -394,14 +398,15 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   plan->Close();
   XO_RETURN_NOT_OK(exec);
   result.udf_stats = ctx.udf_stats;
-  if (guard != nullptr) result.plan += "\n" + guard->StatsLine();
-  // Resilience stats line (DESIGN.md §13), appended only when there is
-  // something to report so healthy-engine plan text stays byte-identical.
+  if (guard != nullptr) result.plan = guard->StatsLine();
+  // Resilience stats line (DESIGN.md §13), added only when there is
+  // something to report, so a healthy, unguarded query carries no stats.
   const HealthSnapshot hs = health_.Snapshot();
   const uint64_t quarantined = pool_->stats().quarantined_pages;
   if (skip_quarantined || hs.state != HealthState::kHealthy ||
       quarantined > 0) {
-    result.plan += "\nresilience: health=";
+    if (!result.plan.empty()) result.plan += "\n";
+    result.plan += "resilience: health=";
     result.plan += HealthStateName(hs.state);
     result.plan += " quarantined=" + std::to_string(quarantined) +
                    " skipped_pages=" + std::to_string(ctx.skipped_pages) +
@@ -433,18 +438,15 @@ Result<QueryResult> Database::Query(const std::string& sql_text,
     case sql::Statement::Kind::kSelect: {
       XO_RETURN_NOT_OK(health_.CheckUsable());
       xo::ReaderLock lock(&mu_);
-      return RunSelect(stmt.select, /*explain_only=*/false, g,
-                       options.skip_quarantined);
+      return RunSelect(stmt.select, g, options.skip_quarantined);
     }
     case sql::Statement::Kind::kExplain: {
       XO_RETURN_NOT_OK(health_.CheckUsable());
       xo::ReaderLock lock(&mu_);
-      XO_ASSIGN_OR_RETURN(QueryResult r,
-                          RunSelect(stmt.select, /*explain_only=*/true, g));
+      XO_ASSIGN_OR_RETURN(std::string text, ExplainSelect(stmt.select, g));
       QueryResult out;
       out.columns = {"plan"};
-      out.plan = r.plan;
-      out.rows.push_back({Value::Varchar(r.plan)});
+      out.rows.push_back({Value::Varchar(std::move(text))});
       return out;
     }
     case sql::Statement::Kind::kPragma: {
@@ -554,9 +556,7 @@ Result<std::string> Database::Explain(const std::string& sql_text) {
     return Status::InvalidArgument("EXPLAIN requires a SELECT");
   }
   xo::ReaderLock lock(&mu_);
-  XO_ASSIGN_OR_RETURN(QueryResult r,
-                      RunSelect(stmt.select, /*explain_only=*/true));
-  return r.plan;
+  return ExplainSelect(stmt.select, /*guard=*/nullptr);
 }
 
 Status Database::CreateTable(const std::string& name, TableSchema schema) {
@@ -669,98 +669,6 @@ Status Database::RunStats() {
 
 namespace {
 
-/// Direct AST evaluation against a single table's row, used by DELETE
-/// (which needs record ids and therefore bypasses the Volcano planner).
-Result<Value> EvalAst(const sql::AstExpr& e, const TableSchema& schema,
-                      const std::string& table_name, const Tuple& row,
-                      const FunctionRegistry& functions, UdfStats* stats) {
-  using sql::AstExpr;
-  switch (e.kind) {
-    case AstExpr::Kind::kColumn: {
-      std::string name = e.name;
-      size_t dot = name.find('.');
-      if (dot != std::string::npos) {
-        if (!EqualsIgnoreCase(name.substr(0, dot), table_name)) {
-          return Status::NotFound("unknown qualifier in '" + e.name + "'");
-        }
-        name = name.substr(dot + 1);
-      }
-      for (size_t i = 0; i < schema.columns.size(); ++i) {
-        if (EqualsIgnoreCase(schema.columns[i].name, name)) return row[i];
-      }
-      return Status::NotFound("unknown column '" + e.name + "'");
-    }
-    case AstExpr::Kind::kLiteral:
-      return e.literal;
-    case AstExpr::Kind::kCompare: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      XO_ASSIGN_OR_RETURN(Value b, EvalAst(*e.children[1], schema, table_name,
-                                           row, functions, stats));
-      if (a.is_null() || b.is_null()) return Value::Bool(false);
-      int c = a.Compare(b);
-      switch (e.op) {
-        case CompareOp::kEq:
-          return Value::Bool(c == 0);
-        case CompareOp::kNe:
-          return Value::Bool(c != 0);
-        case CompareOp::kLt:
-          return Value::Bool(c < 0);
-        case CompareOp::kLe:
-          return Value::Bool(c <= 0);
-        case CompareOp::kGt:
-          return Value::Bool(c > 0);
-        case CompareOp::kGe:
-          return Value::Bool(c >= 0);
-      }
-      return Status::Internal("bad op");
-    }
-    case AstExpr::Kind::kAnd:
-    case AstExpr::Kind::kOr: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      bool av = !a.is_null() && a.AsBool();
-      if (e.kind == AstExpr::Kind::kAnd && !av) return Value::Bool(false);
-      if (e.kind == AstExpr::Kind::kOr && av) return Value::Bool(true);
-      XO_ASSIGN_OR_RETURN(Value b, EvalAst(*e.children[1], schema, table_name,
-                                           row, functions, stats));
-      return Value::Bool(!b.is_null() && b.AsBool());
-    }
-    case AstExpr::Kind::kNot: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      return Value::Bool(!(!a.is_null() && a.AsBool()));
-    }
-    case AstExpr::Kind::kLike: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      if (a.is_null()) return Value::Bool(false);
-      return Value::Bool(LikeMatch(a.AsString(), e.pattern));
-    }
-    case AstExpr::Kind::kIsNull: {
-      XO_ASSIGN_OR_RETURN(Value a, EvalAst(*e.children[0], schema, table_name,
-                                           row, functions, stats));
-      return Value::Bool(e.negated ? !a.is_null() : a.is_null());
-    }
-    case AstExpr::Kind::kFunc: {
-      const ScalarFunction* fn = functions.FindScalar(e.name);
-      if (fn == nullptr) {
-        return Status::NotFound("unknown function '" + e.name + "'");
-      }
-      std::vector<Value> args;
-      for (const auto& a : e.children) {
-        XO_ASSIGN_OR_RETURN(Value v, EvalAst(*a, schema, table_name, row,
-                                             functions, stats));
-        args.push_back(std::move(v));
-      }
-      return InvokeScalar(*fn, args, stats);
-    }
-    case AstExpr::Kind::kStar:
-      return Status::InvalidArgument("'*' not valid here");
-  }
-  return Status::Internal("unhandled AST node");
-}
-
 void CollectIndexableColumns(const sql::AstExpr& e,
                              std::vector<std::string>* out) {
   using sql::AstExpr;
@@ -779,7 +687,14 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   if (t == nullptr) {
     return Status::NotFound("unknown table '" + stmt.table + "'");
   }
-  UdfStats stats;
+  // WHERE binds once, before the scan, through the SELECT binder: an
+  // unknown column or function fails even when no row would reach it.
+  ExprPtr where;
+  if (stmt.where != nullptr) {
+    Planner planner(&catalog_, &functions_, options_.planner);
+    XO_ASSIGN_OR_RETURN(where, planner.BindPredicate(stmt.table, *stmt.where));
+  }
+  ExecContext ctx;
   std::vector<std::pair<Rid, Tuple>> doomed;
   // Guard polls and charges cover only the scan phase: once the apply loop
   // below starts mutating the heap, finishing is cheaper and cleaner than
@@ -795,9 +710,8 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
     if (!ok) break;
     XO_ASSIGN_OR_RETURN(Tuple row, DecodeTuple(t->schema, record));
     bool match = true;
-    if (stmt.where != nullptr) {
-      XO_ASSIGN_OR_RETURN(Value v, EvalAst(*stmt.where, t->schema, t->name,
-                                           row, functions_, &stats));
+    if (where != nullptr) {
+      XO_ASSIGN_OR_RETURN(Value v, where->Eval(row, &ctx));
       match = !v.is_null() && v.AsBool();
     }
     if (match) {
@@ -819,7 +733,7 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   QueryResult result;
   result.columns = {"deleted"};
   result.rows.push_back({Value::Int(static_cast<int64_t>(doomed.size()))});
-  result.udf_stats = stats;
+  result.udf_stats = ctx.udf_stats;
   return result;
 }
 

@@ -57,7 +57,7 @@ struct QueryOptions {
 
   /// Degraded-scan mode (DESIGN.md §13): SELECTs skip quarantined/corrupt
   /// heap pages and damaged overflow/XADT fragments instead of failing,
-  /// and report what they skipped on the plan's "resilience:" stats line.
+  /// and report what they skipped on the "resilience:" stats line.
   /// Off by default: normal queries must surface corruption.
   bool skip_quarantined = false;
 
@@ -75,7 +75,10 @@ struct QueryResult {
   std::vector<Tuple> rows;
   /// Snapshot of the UDF accounting for this query.
   UdfStats udf_stats;
-  /// EXPLAIN text (set for EXPLAIN statements, and always captured).
+  /// Statement stats lines: "guard:" when the statement ran under a
+  /// QueryGuard, "resilience:" when the engine is not healthy or the scan
+  /// was degraded (DESIGN.md §12–§13). Empty for a healthy, unguarded
+  /// statement. EXPLAIN's plan text is its one row, not this field.
   std::string plan;
 
   /// Plain-text rendering (column header + one line per row).
@@ -154,10 +157,11 @@ class Database {
   /// Like Query(sql), but governed by `options` (DESIGN.md §12): the
   /// statement runs under a QueryGuard enforcing the deadline and memory
   /// budget, and — when options.query_id is set — is registered for
-  /// Cancel() before the statement lock is taken. Guarded SELECTs append a
-  /// "guard:" stats line (checkpoints, peak tracked bytes, why-stopped) to
-  /// QueryResult::plan. Readers stay cancellable while holding the
-  /// statement lock shared: Cancel() only touches guards_mu_, never mu_.
+  /// Cancel() before the statement lock is taken. A guarded SELECT reports
+  /// its "guard:" stats line (checkpoints, peak tracked bytes, why-stopped)
+  /// in QueryResult::plan; a guarded EXPLAIN appends it to its plan row.
+  /// Readers stay cancellable while holding the statement lock shared:
+  /// Cancel() only touches guards_mu_, never mu_.
   [[nodiscard]] Result<QueryResult> Query(const std::string& sql,
                                           const QueryOptions& options)
       XO_EXCLUDES(mu_);
@@ -275,12 +279,17 @@ class Database {
   /// `guard` may be null (unguarded). Guarded runs bind the guard to the
   /// executing thread (ScopedGuardBind) so UDFs and XADT scans can poll it,
   /// close the plan on the error path too (releasing every pin before the
-  /// error propagates), and append the guard stats line to the plan text.
+  /// error propagates), and put the guard stats line in QueryResult::plan.
   /// `skip_quarantined` enables the degraded-scan mode (DESIGN.md §13).
   [[nodiscard]] Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
-                                              bool explain_only,
-                                              QueryGuard* guard = nullptr,
-                                              bool skip_quarantined = false)
+                                              QueryGuard* guard,
+                                              bool skip_quarantined)
+      XO_REQUIRES_SHARED(mu_);
+  /// Plans `stmt` without running it and renders the EXPLAIN text, with
+  /// the guard stats line appended when `guard` is set. The one body
+  /// behind Explain() and `EXPLAIN ...` statements.
+  [[nodiscard]] Result<std::string> ExplainSelect(const sql::SelectStmt& stmt,
+                                                  QueryGuard* guard)
       XO_REQUIRES_SHARED(mu_);
   [[nodiscard]] Result<QueryResult> RunDelete(const sql::DeleteStmt& stmt)
       XO_REQUIRES(mu_);

@@ -48,6 +48,22 @@ struct FromItem {
   size_t offset = 0;
 };
 
+/// The FROM item for base table `table` under `alias`, at offset 0.
+Result<FromItem> TableItem(const Catalog& catalog, const std::string& table,
+                           const std::string& alias) {
+  FromItem item;
+  item.alias = alias;
+  item.table = catalog.FindTable(table);
+  if (item.table == nullptr) {
+    return Status::NotFound("unknown table '" + table + "'");
+  }
+  item.columns.reserve(item.table->schema.columns.size());
+  for (const ColumnDef& c : item.table->schema.columns) {
+    item.columns.push_back({alias + "." + c.name, c.type});
+  }
+  return item;
+}
+
 /// Resolves column names against the combined layout of all FROM items.
 class Scope {
  public:
@@ -287,6 +303,15 @@ bool MatchEquiJoin(const AstExpr& e) {
 
 }  // namespace
 
+Result<ExprPtr> Planner::BindPredicate(const std::string& table,
+                                       const AstExpr& predicate) {
+  std::vector<FromItem> items(1);
+  XO_ASSIGN_OR_RETURN(items[0], TableItem(*catalog_, table, table));
+  Scope scope(&items);
+  const std::vector<Conjunct> no_conjuncts;
+  return Binder(&scope, functions_, &no_conjuncts).Bind(predicate);
+}
+
 Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM clause is required");
@@ -310,14 +335,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         item.columns.push_back({ref.alias + "." + c.name, c.type});
       }
     } else {
-      item.table = catalog_->FindTable(ref.table);
-      if (item.table == nullptr) {
-        return Status::NotFound("unknown table '" + ref.table + "'");
-      }
-      item.columns.reserve(item.table->schema.columns.size());
-      for (const ColumnDef& c : item.table->schema.columns) {
-        item.columns.push_back({ref.alias + "." + c.name, c.type});
-      }
+      XO_ASSIGN_OR_RETURN(item, TableItem(*catalog_, ref.table, ref.alias));
     }
     item.offset = offset;
     offset += item.columns.size();

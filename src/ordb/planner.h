@@ -40,6 +40,13 @@ class Planner {
 
   [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt);
 
+  /// Binds `predicate` against the rows of base table `table`, resolving
+  /// columns (bare or qualified by the table name) and functions as
+  /// PlanSelect does for `SELECT ... FROM table WHERE predicate`. The bound
+  /// expression reads a decoded row of the table's schema.
+  [[nodiscard]] Result<ExprPtr> BindPredicate(const std::string& table,
+                                              const sql::AstExpr& predicate);
+
  private:
   Catalog* catalog_;
   FunctionRegistry* functions_;

@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "common/varint.h"
+#include "ordb/database.h"
 
 namespace xorator::server {
 
@@ -62,6 +63,45 @@ StatusCode CodeFromWire(uint8_t code) {
   return static_cast<StatusCode>(code);
 }
 
+void AppendValue(std::string* out, const std::string& rendered) {
+  AppendString(out, rendered);
+}
+
+void AppendValue(std::string* out, const ordb::Value& value) {
+  AppendString(out, value.ToString());
+}
+
+/// The one writer of the kResult payload layout: columns, rows of
+/// string-rendered values, stats text. `Row` is a row of either
+/// already-rendered strings or engine values.
+template <typename Row>
+Result<std::string> EncodeResultFrame(const std::vector<std::string>& columns,
+                                      const std::vector<Row>& rows,
+                                      std::string_view plan) {
+  std::string payload;
+  PutVarint(&payload, columns.size());
+  for (const std::string& column : columns) {
+    AppendString(&payload, column);
+  }
+  PutVarint(&payload, rows.size());
+  for (const Row& row : rows) {
+    PutVarint(&payload, row.size());
+    for (const auto& value : row) {
+      AppendValue(&payload, value);
+    }
+  }
+  AppendString(&payload, plan);
+  if (payload.size() > kMaxPayloadBytes) {
+    return Status::ResourceExhausted(
+        "result of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
+        "-byte frame payload cap");
+  }
+  std::string frame;
+  AppendFrame(&frame, FrameType::kResult, 0, payload);
+  return frame;
+}
+
 }  // namespace
 
 void AppendFrame(std::string* out, FrameType type, uint8_t flags,
@@ -100,28 +140,11 @@ std::string EncodeStatsRequest() {
 }
 
 Result<std::string> EncodeResult(const ResultPayload& result) {
-  std::string payload;
-  PutVarint(&payload, result.columns.size());
-  for (const std::string& column : result.columns) {
-    AppendString(&payload, column);
-  }
-  PutVarint(&payload, result.rows.size());
-  for (const std::vector<std::string>& row : result.rows) {
-    PutVarint(&payload, row.size());
-    for (const std::string& value : row) {
-      AppendString(&payload, value);
-    }
-  }
-  AppendString(&payload, result.plan);
-  if (payload.size() > kMaxPayloadBytes) {
-    return Status::ResourceExhausted(
-        "result of " + std::to_string(payload.size()) +
-        " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
-        "-byte frame payload cap");
-  }
-  std::string frame;
-  AppendFrame(&frame, FrameType::kResult, 0, payload);
-  return frame;
+  return EncodeResultFrame(result.columns, result.rows, result.plan);
+}
+
+Result<std::string> EncodeResult(const ordb::QueryResult& result) {
+  return EncodeResultFrame(result.columns, result.rows, result.plan);
 }
 
 std::string EncodeError(const ErrorPayload& error) {

@@ -9,6 +9,10 @@
 #include "common/result.h"
 #include "common/span.h"
 
+namespace xorator::ordb {
+struct QueryResult;
+}  // namespace xorator::ordb
+
 namespace xorator::server {
 
 /// The xorator wire protocol (DESIGN.md section 17): length-prefixed binary
@@ -96,7 +100,8 @@ struct CancelRequest {
 };
 
 /// kResult payload: column names plus rows of string-rendered values, and
-/// the plan/stats text (EXPLAIN output, "guard:"/"resilience:" lines).
+/// the statement's stats lines ("guard:"/"resilience:"; EXPLAIN's plan is
+/// its one row).
 struct ResultPayload {
   std::vector<std::string> columns;
   std::vector<std::vector<std::string>> rows;
@@ -135,6 +140,11 @@ void AppendFrame(std::string* out, FrameType type, uint8_t flags,
 /// the rendered result exceeds kMaxPayloadBytes (the server turns that
 /// into a clean kError response rather than an unframeable reply).
 [[nodiscard]] Result<std::string> EncodeResult(const ResultPayload& result);
+
+/// Encodes an engine result as a kResult frame, each value rendered with
+/// Value::ToString — byte-identical to EncodeResult of the same rows
+/// rendered into a ResultPayload, without the intermediate copy.
+[[nodiscard]] Result<std::string> EncodeResult(const ordb::QueryResult& result);
 
 /// Encodes a kError response as a complete frame. `code` must fit a u8
 /// (StatusCode values do). The message is truncated if it would push the

@@ -20,28 +20,9 @@ constexpr int64_t kAcceptTickMillis = 50;
 /// disconnects, since the acceptor has stopped by then).
 constexpr int64_t kDrainTickMillis = 20;
 
-/// Renders a QueryResult into the wire shape (values become their display
-/// strings; the examples and tests want text anyway, and it keeps the
-/// protocol free of the engine's type system).
-ResultPayload RenderResult(const ordb::QueryResult& result) {
-  ResultPayload payload;
-  payload.columns = result.columns;
-  payload.rows.reserve(result.rows.size());
-  for (const ordb::Tuple& row : result.rows) {
-    std::vector<std::string> rendered;
-    rendered.reserve(row.size());
-    for (const ordb::Value& value : row) {
-      rendered.push_back(value.ToString());
-    }
-    payload.rows.push_back(std::move(rendered));
-  }
-  payload.plan = result.plan;
-  return payload;
-}
-
 /// Encodes the frame for `result`, downgrading an over-cap result to a
 /// clean error frame.
-std::string EncodeResultOrError(const ResultPayload& result) {
+std::string EncodeResultOrError(const ordb::QueryResult& result) {
   Result<std::string> frame = EncodeResult(result);
   if (frame.ok()) return std::move(frame).value();
   return EncodeError(ErrorFromStatus(frame.status()));
@@ -264,17 +245,17 @@ void Server::HandleStatement(Connection* conn, FrameType type,
     return;
   }
 
+  Result<ordb::QueryResult> result = db_->Query(request.sql, query_options);
+  const Status outcome = result.status();
   std::string response;
-  Status outcome = Status::OK();
-  if (type == FrameType::kExecute) {
-    outcome = db_->Execute(request.sql, query_options);
-    if (outcome.ok()) response = EncodeResultOrError(ResultPayload{});
+  if (!outcome.ok()) {
+    response = EncodeError(ErrorFromStatus(outcome));
+  } else if (type == FrameType::kExecute) {
+    // EXECUTE runs the statement like QUERY but answers with no rows.
+    response = EncodeResultOrError(ordb::QueryResult{});
   } else {
-    Result<ordb::QueryResult> result = db_->Query(request.sql, query_options);
-    outcome = result.status();
-    if (outcome.ok()) response = EncodeResultOrError(RenderResult(*result));
+    response = EncodeResultOrError(*result);
   }
-  if (!outcome.ok()) response = EncodeError(ErrorFromStatus(outcome));
 
   {
     xo::MutexLock lock(&mu_);
@@ -408,7 +389,7 @@ void Server::HandleCancel(Connection* conn, const CancelRequest& request) {
     return;
   }
   CancelRunning(running);
-  SendFrame(conn, EncodeResultOrError(ResultPayload{}));
+  SendFrame(conn, EncodeResultOrError(ordb::QueryResult{}));
 }
 
 void Server::HandleStats(Connection* conn) {

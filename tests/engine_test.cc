@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 
 #include "ordb/database.h"
 #include "xadt/functions.h"
@@ -258,6 +259,21 @@ TEST_F(EngineTest, ExplainShowsPlan) {
   EXPECT_NE(r.rows[0][0].AsString().find("Filter"), std::string::npos);
 }
 
+TEST_F(EngineTest, ExplainStatementMatchesExplain) {
+  for (const char* sql :
+       {"SELECT name FROM emp WHERE salary > 150",
+        "SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept = d.id",
+        "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept ORDER BY dept"}) {
+    QueryResult r = Q(std::string("EXPLAIN ") + sql);
+    auto plan = db_->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.columns, std::vector<std::string>{"plan"});
+    EXPECT_EQ(r.rows[0][0].AsString(), *plan);
+    EXPECT_TRUE(r.plan.empty()) << "the plan is the row: " << r.plan;
+  }
+}
+
 TEST_F(EngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(db_->Query("SELECT nosuch FROM emp").ok());
   EXPECT_FALSE(db_->Query("SELECT name FROM nosuch").ok());
@@ -300,6 +316,79 @@ TEST_F(EngineTest, DataBytesGrowWithInserts) {
   }
   EXPECT_GE(db_->DataBytes(), before);
   EXPECT_GT(db_->DataBytes(), 0u);
+}
+
+/// Renders a row as one comparable string.
+std::string RowText(const Tuple& row) {
+  std::string out;
+  for (const Value& v : row) out += v.ToString() + "|";
+  return out;
+}
+
+std::multiset<std::string> RowTexts(const QueryResult& r) {
+  std::multiset<std::string> out;
+  for (const Tuple& row : r.rows) out.insert(RowText(row));
+  return out;
+}
+
+// DELETE and SELECT bind WHERE through the same binder, so on the same
+// table they must select the same rows: DELETE removes exactly what
+// SELECT ... WHERE p returns and leaves the complement.
+TEST(DeleteSelectDifferentialTest, DeleteRemovesExactlyWhatSelectMatches) {
+  const char* const kPredicates[] = {
+      "n = 2",
+      "n <> 2",
+      "n < 3",
+      "s >= 'b'",
+      "n > 1 AND s = 'b'",
+      "n = 3 OR s = 'a'",
+      "NOT n = 2",
+      "NOT (n = 2 AND s = 'a')",
+      "NOT (n > 1 OR s LIKE 'a%')",
+      "s LIKE '%b%'",
+      "s IS NULL",
+      "n IS NOT NULL",
+      "udf_length(s) = 1",
+      "d.n = 3",
+      "D.S = 'c' OR d.n IS NULL",
+  };
+  for (const char* p : kPredicates) {
+    SCOPED_TRACE(p);
+    auto db = OpenDb();
+    ASSERT_TRUE(
+        db->Execute("CREATE TABLE d (id INTEGER, n INTEGER, s VARCHAR)").ok());
+    const std::vector<Tuple> rows = {
+        {Value::Int(1), Value::Int(1), Value::Varchar("a")},
+        {Value::Int(2), Value::Int(2), Value::Varchar("b")},
+        {Value::Int(3), Value::Int(3), Value::Varchar("abc")},
+        {Value::Int(4), Value::Null(), Value::Varchar("b")},
+        {Value::Int(5), Value::Int(2), Value::Null()},
+        {Value::Int(6), Value::Null(), Value::Null()},
+    };
+    ASSERT_TRUE(db->BulkInsert("d", rows).ok());
+    const std::string where = std::string(" FROM d WHERE ") + p;
+    auto count = db->Query("SELECT COUNT(*) AS n" + where);
+    auto matched = db->Query("SELECT *" + where);
+    auto before = db->Query("SELECT * FROM d");
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_TRUE(matched.ok() && before.ok());
+
+    auto deleted = db->Query("DELETE" + where);
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(deleted->rows[0][0].AsInt(), count->rows[0][0].AsInt());
+    EXPECT_EQ(deleted->udf_stats.scalar_calls, count->udf_stats.scalar_calls);
+    if (std::string_view(p).find("udf_") != std::string_view::npos) {
+      EXPECT_EQ(deleted->udf_stats.scalar_calls, rows.size());
+    }
+
+    std::multiset<std::string> complement = RowTexts(*before);
+    for (const std::string& gone : RowTexts(*matched)) {
+      complement.erase(complement.find(gone));
+    }
+    auto after = db->Query("SELECT * FROM d");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(RowTexts(*after), complement);
+  }
 }
 
 TEST(DatabaseFileTest, FileBackedDatabaseWorks) {

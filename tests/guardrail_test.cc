@@ -254,7 +254,8 @@ TEST(GuardrailSqlTest, GuardStatsReportedInExplain) {
   options.deadline_millis = 10000;
   auto r = db->Query("SELECT a FROM t", options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_NE(r->plan.find("guard: checkpoints="), std::string::npos) << r->plan;
+  EXPECT_EQ(r->plan.rfind("guard: checkpoints=", 0), 0u)
+      << "a guarded SELECT's plan holds only its stats lines: " << r->plan;
   EXPECT_NE(r->plan.find("stopped=OK"), std::string::npos) << r->plan;
 
   // EXPLAIN carries the stats line in its plan row as well.
@@ -303,7 +304,8 @@ TEST(GuardrailSqlTest, ZeroOptionsRunUnguarded) {
   auto r = db->Query("SELECT a FROM t", options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 5u);
-  EXPECT_EQ(r->plan.find("guard:"), std::string::npos);
+  EXPECT_TRUE(r->plan.empty())
+      << "a healthy, unguarded SELECT carries no stats: " << r->plan;
 }
 
 }  // namespace

@@ -102,6 +102,27 @@ TEST(SqlRobustnessTest, DeleteStatements) {
   EXPECT_FALSE(db->Query("DELETE FROM missing").ok());
 }
 
+TEST(SqlRobustnessTest, DeleteResolvesWhereBeforeScanning) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER, b VARCHAR)").ok());
+  // An unknown column or function is an error whether or not a row would
+  // reach it — on an empty table too — exactly as for the same SELECT.
+  for (bool empty : {true, false}) {
+    if (!empty) ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'x')").ok());
+    for (const char* where : {"nosuch = 1", "nofn(a) = 1", "u.a = 1"}) {
+      const std::string suffix = std::string(" FROM t WHERE ") + where;
+      auto select = db->Query("SELECT a" + suffix);
+      auto deleted = db->Query("DELETE" + suffix);
+      ASSERT_FALSE(select.ok()) << where;
+      ASSERT_FALSE(deleted.ok()) << where << " empty=" << empty;
+      EXPECT_EQ(deleted.status().code(), StatusCode::kNotFound)
+          << deleted.status().ToString();
+      EXPECT_EQ(deleted.status().code(), select.status().code());
+    }
+  }
+  EXPECT_EQ(db->Query("SELECT COUNT(*) AS n FROM t")->rows[0][0].AsInt(), 1);
+}
+
 TEST(XadtRobustnessTest, CorruptXadtBytesThroughSql) {
   auto db = OpenDb();
   ASSERT_TRUE(db->Execute("CREATE TABLE t (x XADT)").ok());

@@ -192,6 +192,10 @@ TEST(ServerTest, QueryRoundTripMatchesDirect) {
       EXPECT_EQ(remote->rows[r][c], direct->rows[r][c].ToString());
     }
   }
+  // The server runs every statement guarded, so the wire stats text is
+  // exactly the one guard line: no plan text rides an ordinary result.
+  EXPECT_EQ(remote->plan.rfind("guard: ", 0), 0u) << remote->plan;
+  EXPECT_EQ(remote->plan.find('\n'), std::string::npos) << remote->plan;
 
   const ServerStats stats = srv->server_stats();
   EXPECT_EQ(stats.statements_admitted, 1u);
@@ -222,6 +226,29 @@ TEST(ServerTest, ExecuteAppliesMutationsAndErrorsTravelTheWire) {
   // The connection survived the error; the next statement works.
   auto again = client.Query("SELECT a FROM t");
   EXPECT_TRUE(again.ok()) << again.status().ToString();
+}
+
+TEST(ServerTest, OverCapResultIsAnErrorAndTheConnectionServesOn) {
+  auto db = MakeDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE big (s VARCHAR)").ok());
+  const std::vector<ordb::Tuple> rows(
+      5, {ordb::Value::Varchar(std::string(1u << 20, 'x'))});
+  ASSERT_TRUE(db->BulkInsert("big", rows).ok());
+  auto started = Server::Start(db.get());
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<Server> srv = std::move(*started);
+
+  Client client(ClientFor(*srv));
+  auto over = client.Query("SELECT s FROM big");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted)
+      << over.status().ToString();
+  // The refusal was a clean ERROR frame: the same connection answers on.
+  auto count = client.Query("SELECT COUNT(*) AS n FROM big");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count->rows.size(), 1u);
+  EXPECT_EQ(count->rows[0][0], "5");
+  EXPECT_EQ(srv->server_stats().connections_accepted, 1u);
 }
 
 // -- Admission control. -----------------------------------------------------
@@ -835,6 +862,37 @@ TEST(ServerProtocolTest, OversizeStatsDropTailRowsButStayFrameable) {
     EXPECT_EQ(decoded->rows[i].first, stats.rows[i].first);
     EXPECT_EQ(decoded->rows[i].second, stats.rows[i].second);
   }
+}
+
+TEST(ServerProtocolTest, EngineResultEncodesLikeItsRenderedPayload) {
+  ordb::QueryResult result;
+  result.columns = {"n", "i", "d", "v", "x"};
+  result.rows = {
+      {ordb::Value::Null(), ordb::Value::Int(-42), ordb::Value::Double(2.5),
+       ordb::Value::Varchar("two words"),
+       ordb::Value::Xadt("R<speaker>s1</speaker>")},
+      {ordb::Value::Int(7), ordb::Value::Null(), ordb::Value::Double(-0.125),
+       ordb::Value::Varchar(""), ordb::Value::Null()},
+  };
+  result.plan = "guard: checkpoints=3";
+  server::ResultPayload rendered;
+  rendered.columns = result.columns;
+  for (const ordb::Tuple& row : result.rows) {
+    std::vector<std::string> text;
+    for (const ordb::Value& value : row) text.push_back(value.ToString());
+    rendered.rows.push_back(std::move(text));
+  }
+  rendered.plan = result.plan;
+
+  auto direct = server::EncodeResult(result);
+  auto via_payload = server::EncodeResult(rendered);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_TRUE(via_payload.ok()) << via_payload.status().ToString();
+  EXPECT_EQ(*direct, *via_payload);
+  auto empty = server::EncodeResult(ordb::QueryResult{});
+  auto empty_payload = server::EncodeResult(server::ResultPayload{});
+  ASSERT_TRUE(empty.ok() && empty_payload.ok());
+  EXPECT_EQ(*empty, *empty_payload);
 }
 
 // -- Shutdown. --------------------------------------------------------------
