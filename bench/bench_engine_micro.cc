@@ -1,7 +1,8 @@
 // Microbenchmarks of the storage substrate (google-benchmark): B+-tree
-// inserts/lookups, heap-file inserts/scans, tuple codec, buffer-pool churn,
-// XML parsing throughput, multi-threaded SELECT scaling over the shared
-// statement lock, and the planner's cost on the paper's selective queries. Supporting evidence for DESIGN.md's cost model of the
+// inserts/lookups, heap-file inserts/scans, tuple codec, page checksums,
+// buffer-pool churn, XML parsing throughput, multi-threaded SELECT scaling
+// over the shared statement lock, and the planner's cost on the paper's
+// selective queries. Supporting evidence for DESIGN.md's cost model of the
 // higher-level experiments.
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "ordb/buffer_pool.h"
 #include "ordb/database.h"
 #include "ordb/heap_file.h"
+#include "ordb/page.h"
 #include "ordb/pager.h"
 #include "ordb/planner.h"
 #include "ordb/row_codec.h"
@@ -243,6 +245,22 @@ void BM_RowDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RowDecode)->ArgName("inplace")->Arg(0)->Arg(1);
+
+// The per-page checksum every buffer-pool miss verifies and every
+// write-back stamps (DESIGN.md section 7): ComputePageChecksum over one
+// page's 8,188-byte payload, on random bytes so nothing folds at compile
+// time. BM_BufferPoolChurn below pays it on ~75% of its fetches.
+void BM_Crc32Page(benchmark::State& state) {
+  std::vector<char> page(kPageSize);
+  std::mt19937_64 rng(7);
+  for (char& c : page) c = static_cast<char>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputePageChecksum(page.data()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kPageSize - 4));
+}
+BENCHMARK(BM_Crc32Page);
 
 // The PageRef guard must be free in Release builds: the pin/unpin work is
 // identical and the guard's bookkeeping (two pointers, an id, a bool) stays

@@ -6,26 +6,56 @@ namespace xorator {
 
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 (Kounavis & Berry): kTables[0] is the classic byte table,
+// and kTables[k][b] is the CRC register after byte b is followed by k zero
+// bytes, so one step folds eight input bytes with eight independent
+// lookups. Built at compile time, so the tables are ready before any
+// static initializer can checksum a page.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables BuildTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFF] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+constexpr Tables kTables = BuildTables();
+
+// Assembled from bytes so a big-endian host reads the same value; compilers
+// fold this into one load on little-endian targets.
+uint32_t LoadLittleEndian32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t length, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = BuildTable();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < length; ++i) {
-    crc = kTable[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  size_t i = 0;
+  for (; length - i >= 8; i += 8) {
+    const uint32_t lo = crc ^ LoadLittleEndian32(&bytes[i]);
+    const uint32_t hi = LoadLittleEndian32(&bytes[i + 4]);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; i < length; ++i) {
+    crc = kTables[0][(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

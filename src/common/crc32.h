@@ -6,7 +6,11 @@
 
 namespace xorator {
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed
+/// slicing-by-8: eight bytes per step through eight 256-entry tables, then
+/// a byte-at-a-time tail. Any length and alignment; the same value on any
+/// host byte order, and the same values the on-disk formats have always
+/// stored.
 ///
 /// Used to checksum storage pages and WAL records. `seed` allows chaining:
 /// Crc32(b, nb, Crc32(a, na)) == Crc32(concat(a, b)).
