@@ -1,12 +1,18 @@
 // Ablation for Section 3.4.1: raw vs compressed XADT storage. Measures
-// encode/decode/method costs (google-benchmark) and prints a size sweep
-// over fragments with varying tag densities, which drives the 20% rule.
+// encode/decode/method costs (google-benchmark), the `unnest` table UDF and
+// the scanner's event rate on column values shaped like the paper's
+// corpora, and prints a size sweep over fragments with varying tag
+// densities, which drives the 20% rule.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "benchutil/benchutil.h"
+#include "datagen/generators.h"
+#include "ordb/functions.h"
+#include "xadt/functions.h"
+#include "xadt/scanner.h"
 #include "xadt/xadt.h"
 #include "xml/parser.h"
 
@@ -123,6 +129,100 @@ void BM_Unnest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Unnest)->Arg(0)->Arg(1);
+
+const xml::Node* FindFirst(const xml::Node& node, std::string_view name) {
+  if (node.is_element() && node.name() == name) return &node;
+  for (const auto& c : node.children()) {
+    if (const xml::Node* hit = FindFirst(*c, name)) return hit;
+  }
+  return nullptr;
+}
+
+// An XADT column value as the XORator mapping stores it, with the tag the
+// paper queries unnest it by. range 0: a SIGMOD `pp_slist` (the sListTuple
+// children of one proceedings' sList, compressed, as QG2/QG4 unnest it);
+// range 1: a Shakespeare `speech_line` (the LINE children of one SPEECH,
+// raw, as QS1 unnests it).
+struct ColumnValue {
+  std::string bytes;
+  std::string tag;
+};
+
+ColumnValue MakeColumnValue(int64_t which) {
+  std::unique_ptr<xml::Node> doc;
+  const char* parent = nullptr;
+  ColumnValue out;
+  if (which == 0) {
+    doc = datagen::SigmodGenerator().GenerateProceedings(0);
+    parent = "sList";
+    out.tag = "sListTuple";
+  } else {
+    doc = datagen::ShakespeareGenerator().GeneratePlay(0);
+    parent = "SPEECH";
+    out.tag = "LINE";
+  }
+  const xml::Node* node = FindFirst(*doc, parent);
+  std::vector<const xml::Node*> children =
+      node == nullptr ? std::vector<const xml::Node*>()
+                      : node->ChildElements(out.tag);
+  out.bytes = xadt::Encode(children, /*compressed=*/which == 0);
+  return out;
+}
+
+// The registered `unnest` table function through the UDF dispatch path,
+// argument marshaling included: each call yields every fragment's text and
+// value, the work one `table(unnest(...))` row of the outer table costs.
+void BM_UnnestUdf(benchmark::State& state) {
+  ColumnValue column = MakeColumnValue(state.range(0));
+  ordb::FunctionRegistry registry = ordb::FunctionRegistry::WithBuiltins();
+  if (!xadt::RegisterXadtFunctions(&registry).ok()) {
+    state.SkipWithError("RegisterXadtFunctions failed");
+    return;
+  }
+  const ordb::TableFunction* unnest = registry.FindTable("unnest");
+  const std::vector<ordb::Value> args = {ordb::Value::Xadt(column.bytes),
+                                         ordb::Value::Varchar(column.tag)};
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto out = ordb::InvokeTable(*unnest, args, nullptr);
+    if (!out.ok()) {
+      state.SkipWithError("unnest failed");
+      return;
+    }
+    rows += out->size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["bytes"] = static_cast<double>(column.bytes.size());
+  state.counters["rows/s"] =
+      benchmark::Counter(static_cast<double>(rows), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_UnnestUdf)->Arg(0)->Arg(1);
+
+// Scanner throughput: drains every event of the value once per iteration.
+void BM_ScanDrain(benchmark::State& state) {
+  ColumnValue column = MakeColumnValue(state.range(0));
+  size_t events = 0;
+  for (auto _ : state) {
+    auto scanner = xadt::FragmentScanner::Create(column.bytes);
+    if (!scanner.ok()) {
+      state.SkipWithError("FragmentScanner::Create failed");
+      return;
+    }
+    while (true) {
+      auto event = scanner->Next();
+      if (!event.ok()) {
+        state.SkipWithError("scan failed");
+        return;
+      }
+      if (event->kind == xadt::FragmentScanner::EventKind::kEof) break;
+      ++events;
+      benchmark::DoNotOptimize(event);
+    }
+  }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ScanDrain)->Arg(0)->Arg(1);
 
 void PrintSizeSweep() {
   std::printf(

@@ -87,8 +87,8 @@ Result<Value> TextImpl(const std::vector<Value>& args) {
   return Value::Varchar(std::move(text));
 }
 
-/// True when a kCorruption/kParseError failure on one fragment should be
-/// skipped (and counted) rather than fail the whole unnest — the
+/// True when a kCorruption/kParseError failure of one value's unnest
+/// should be skipped (and counted) rather than fail the whole query — the
 /// degraded-scan contract (DESIGN.md §13): a damaged XADT value loses its
 /// own fragments, not the query.
 bool SkipFragmentFailure(const Status& s) {
@@ -111,17 +111,11 @@ Result<std::vector<Tuple>> UnnestImpl(const std::vector<Value>& args) {
     if (SkipFragmentFailure(unnested.status())) return out;
     return unnested.status();
   }
-  auto fragments = std::move(unnested).value();
-  out.reserve(fragments.size());
-  for (std::string& frag : fragments) {
-    auto text = TextContent(frag);
-    if (!text.ok()) {
-      if (SkipFragmentFailure(text.status())) continue;
-      return text.status();
-    }
+  out.reserve(unnested->size());
+  for (UnnestedFragment& frag : *unnested) {
     Tuple row;
-    row.push_back(Value::Varchar(std::move(*text)));
-    row.push_back(Value::Xadt(std::move(frag)));
+    row.push_back(Value::Varchar(std::move(frag.text)));
+    row.push_back(Value::Xadt(std::move(frag.value)));
     out.push_back(std::move(row));
   }
   return out;

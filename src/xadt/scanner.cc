@@ -99,7 +99,7 @@ Result<std::string_view> FragmentScanner::NameAt(size_t offset) const {
   if (tag >= dict_.size()) {
     return Status::ParseError("NameAt: tag id out of range");
   }
-  return std::string_view(dict_[tag]);
+  return dict_[tag];
 }
 
 Status FragmentScanner::ParseDictionary(size_t dict_begin) {
@@ -116,7 +116,7 @@ Status FragmentScanner::ParseDictionary(size_t dict_begin) {
     if (len > bytes_.size() - pos) {
       return Status::ParseError("truncated XADT dictionary");
     }
-    dict_.emplace_back(bytes_.substr(pos, len));
+    dict_.push_back(bytes_.substr(pos, len));
     pos += len;
   }
   content_begin_ = pos;

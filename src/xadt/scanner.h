@@ -67,7 +67,7 @@ class XO_GSL_POINTER(char) FragmentScanner {
 
   /// Element name of the start event at `offset` (which must be the first
   /// byte of an element in this value), without advancing the scanner. The
-  /// view points into the scanner's bytes (raw form) or its dictionary.
+  /// view points into the scanner's bytes.
   [[nodiscard]] Result<std::string_view> NameAt(size_t offset) const
       XO_LIFETIME_BOUND;
 
@@ -97,10 +97,12 @@ class XO_GSL_POINTER(char) FragmentScanner {
   std::vector<std::pair<size_t, size_t>> top_ranges_;
   size_t content_begin_ = 1;
   size_t pos_ = 0;
-  // Raw form: stack of open element names (string_views into bytes_);
-  // compressed form: stack of dictionary ids.
+  // Stack of open element names, as views into bytes_.
   std::vector<std::string_view> open_;
-  std::vector<std::string> dict_;
+  // Compressed form: the value's tag dictionary, parsed once per scanner
+  // as views into bytes_ (entry i names tag id i). No string is built per
+  // entry.
+  std::vector<std::string_view> dict_;
   // Scratch for decoded entity text and synthesized end events.
   std::string text_scratch_;
   bool pending_self_close_ = false;

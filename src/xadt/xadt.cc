@@ -29,6 +29,37 @@ class ExpansionBudget {
   ordb::TrackedArena arena_;
 };
 
+// Sliding-window search for `key` (non-empty) over character data that
+// arrives split across text events. `window` holds the trailing
+// key.size()-1 bytes seen before `text`, so a key straddling the boundary
+// lies in window + the first key.size()-1 bytes of `text`; a key inside
+// `text` is `in_text`, tested once per event for every open frame. The
+// window never holds more than 2*(key.size()-1) bytes.
+bool SlideWindow(std::string* window, std::string_view text,
+                 std::string_view key, bool in_text) {
+  if (in_text) return true;
+  const size_t keep = key.size() - 1;
+  window->append(text.substr(0, keep));
+  if (Contains(*window, key)) return true;
+  if (text.size() >= keep) {
+    window->assign(text.substr(text.size() - keep));
+  } else if (window->size() > keep) {
+    window->erase(0, window->size() - keep);
+  }
+  return false;
+}
+
+// Charges the sliding windows of getElm/findKeyInElm: each open searchElm
+// frame holds at most 2*key_size bytes (SlideWindow), so the windows are
+// charged that much per frame at the deepest nesting seen, once each time
+// `open_frames` reaches a new peak.
+Status ChargeWindows(ExpansionBudget* budget, size_t open_frames,
+                     size_t key_size, size_t* peak_frames) {
+  if (open_frames <= *peak_frames) return Status::OK();
+  *peak_frames = open_frames;
+  return budget->Charge(2 * key_size);
+}
+
 constexpr char kRawMarker = 'R';
 constexpr char kCompressedMarker = 'C';
 constexpr char kDirectoryMarker = 'D';
@@ -321,6 +352,7 @@ Result<std::string> GetElm(std::string_view in, std::string_view root_elm,
   };
   std::vector<Candidate> candidates;  // open rootElm elements (stack)
   std::vector<SearchFrame> searches;  // open searchElm elements (stack)
+  size_t peak_searches = 0;
   size_t depth = 0;
   while (true) {
     XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
@@ -336,21 +368,27 @@ Result<std::string> GetElm(std::string_view in, std::string_view root_elm,
         }
         if (!search_elm.empty() && event.name == search_elm) {
           searches.push_back({depth, search_key.empty(), {}});
+          RETURN_IF_ERROR(ChargeWindows(&budget, searches.size(),
+                                        search_key.size(), &peak_searches));
         }
         ++depth;
         break;
-      case FragmentScanner::EventKind::kText:
+      case FragmentScanner::EventKind::kText: {
+        bool in_text = false;
+        bool tested = false;
         for (SearchFrame& f : searches) {
           if (f.matched) continue;
-          f.window.append(event.text);
-          if (Contains(f.window, search_key)) {
+          if (!tested) {
+            in_text = Contains(event.text, search_key);
+            tested = true;
+          }
+          if (SlideWindow(&f.window, event.text, search_key, in_text)) {
             f.matched = true;
             f.window.clear();
-          } else if (f.window.size() >= search_key.size()) {
-            f.window.erase(0, f.window.size() - (search_key.size() - 1));
           }
         }
         break;
+      }
       case FragmentScanner::EventKind::kEnd: {
         --depth;
         if (!searches.empty() && searches.back().depth == depth) {
@@ -397,10 +435,9 @@ Result<int64_t> FindKeyInElm(std::string_view in, std::string_view search_elm,
       XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
       if (event.kind == FragmentScanner::EventKind::kEof) return 0;
       if (event.kind != FragmentScanner::EventKind::kText) continue;
-      window.append(event.text);
-      if (Contains(window, search_key)) return 1;
-      if (window.size() >= search_key.size()) {
-        window.erase(0, window.size() - (search_key.size() - 1));
+      if (SlideWindow(&window, event.text, search_key,
+                      Contains(event.text, search_key))) {
+        return 1;
       }
     }
   }
@@ -413,6 +450,7 @@ Result<int64_t> FindKeyInElm(std::string_view in, std::string_view search_elm,
   };
   ExpansionBudget budget;
   std::vector<SearchFrame> searches;
+  size_t peak_searches = 0;
   size_t depth = 0;
   while (true) {
     XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
@@ -423,18 +461,18 @@ Result<int64_t> FindKeyInElm(std::string_view in, std::string_view search_elm,
         if (event.name == search_elm) {
           if (search_key.empty()) return 1;
           searches.push_back({depth, {}});
+          RETURN_IF_ERROR(ChargeWindows(&budget, searches.size(),
+                                        search_key.size(), &peak_searches));
         }
         ++depth;
         break;
       case FragmentScanner::EventKind::kText:
-        RETURN_IF_ERROR(budget.Charge(event.text.size() * searches.size()));
+        if (searches.empty()) break;
+        // Any open frame contains this text, so a key inside it is a match.
+        if (Contains(event.text, search_key)) return 1;
         for (SearchFrame& f : searches) {
-          f.window.append(event.text);
           // Early exit as soon as any tracked element matches.
-          if (Contains(f.window, search_key)) return 1;
-          if (f.window.size() >= search_key.size()) {
-            f.window.erase(0, f.window.size() - (search_key.size() - 1));
-          }
+          if (SlideWindow(&f.window, event.text, search_key, false)) return 1;
         }
         break;
       case FragmentScanner::EventKind::kEnd:
@@ -527,29 +565,22 @@ Result<std::string> GetElmIndex(std::string_view in,
   }
 }
 
-Result<std::vector<std::string>> Unnest(std::string_view in,
-                                        std::string_view tag) {
+Result<std::vector<UnnestedFragment>> Unnest(std::string_view in,
+                                             std::string_view tag) {
   XO_ASSIGN_OR_RETURN(FragmentScanner scanner, FragmentScanner::Create(in));
   ExpansionBudget budget;
   std::string_view header = scanner.header();
   std::string prefix =
       header.empty() ? std::string(1, kRawMarker) : std::string(header);
-  std::vector<std::string> out;
-  if (tag.empty() && scanner.has_directory()) {
-    // Directory fast path: slice the indexed fragment roots directly.
-    for (const auto& [start, end] : scanner.top_ranges()) {
-      RETURN_IF_ERROR(budget.Charge(prefix.size() + (end - start)));
-      std::string value = prefix;
-      value.append(in.substr(start, end - start));
-      out.push_back(std::move(value));
-    }
-    return out;
-  }
   struct Capture {
     size_t start_offset;
     size_t depth;
+    size_t text_begin;  // where this match's text starts in `text`
   };
   std::vector<Capture> captures;
+  // Character data seen since the outermost open match started.
+  std::string text;
+  std::vector<UnnestedFragment> out;
   size_t depth = 0;
   while (true) {
     XO_ASSIGN_OR_RETURN(auto event, scanner.Next());
@@ -558,23 +589,33 @@ Result<std::vector<std::string>> Unnest(std::string_view in,
         return out;
       case FragmentScanner::EventKind::kStart:
         if (tag.empty() ? depth == 0 : event.name == tag) {
-          captures.push_back({event.offset, depth});
+          captures.push_back({event.offset, depth, text.size()});
         }
         ++depth;
         break;
       case FragmentScanner::EventKind::kText:
+        if (!captures.empty()) text.append(event.text);
         break;
       case FragmentScanner::EventKind::kEnd:
         --depth;
         if (!captures.empty() && captures.back().depth == depth) {
           Capture c = captures.back();
           captures.pop_back();
-          RETURN_IF_ERROR(budget.Charge(
-              prefix.size() + (event.end_offset - c.start_offset)));
-          std::string value = prefix;
-          value.append(
-              in.substr(c.start_offset, event.end_offset - c.start_offset));
-          out.push_back(std::move(value));
+          const size_t len = event.end_offset - c.start_offset;
+          const size_t text_len = text.size() - c.text_begin;
+          RETURN_IF_ERROR(budget.Charge(prefix.size() + len + text_len));
+          UnnestedFragment frag;
+          if (captures.empty()) {
+            // The outermost match owns the whole buffer (text_begin is 0).
+            frag.text = std::move(text);
+            text.clear();
+          } else {
+            frag.text = text.substr(c.text_begin);
+          }
+          frag.value.reserve(prefix.size() + len);
+          frag.value = prefix;
+          frag.value.append(in.substr(c.start_offset, len));
+          out.push_back(std::move(frag));
         }
         break;
     }

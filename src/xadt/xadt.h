@@ -113,11 +113,27 @@ class CompressionAdvisor {
                                 std::string_view child_elm, int start_pos,
                                 int end_pos);
 
+/// One row of Unnest: a matched element as a standalone single-element
+/// XADT value, and its concatenated text content.
+struct UnnestedFragment {
+  /// Equal to TextContent(value).
+  std::string text;
+  /// The element's bytes behind the input's representation header.
+  std::string value;
+};
+
 /// Splits the value into one single-element XADT per `tag` element
-/// (descendant-or-self; empty `tag`: every top-level fragment). This backs
-/// the table UDF `unnest` of Section 3.5.
-[[nodiscard]] Result<std::vector<std::string>> Unnest(std::string_view in,
-                                        std::string_view tag);
+/// (descendant-or-self; empty `tag`: every top-level fragment), each with
+/// its text. This backs the table UDF `unnest` of Section 3.5.
+///
+/// One scan of `in` yields both halves: open matches share one text
+/// buffer and each remembers where its own text starts, so a match nested
+/// inside a same-tag match gets the suffix it owns. Fragments come out in
+/// end-tag order (an inner match before the match enclosing it). Every
+/// materialized byte, value and text alike, is charged to the bound
+/// statement guard; a scan error fails the whole call.
+[[nodiscard]] Result<std::vector<UnnestedFragment>> Unnest(
+    std::string_view in, std::string_view tag);
 
 }  // namespace xorator::xadt
 

@@ -240,6 +240,63 @@ TEST(GuardrailSqlTest, MemoryBudgetTripsOnLargeUnnest) {
   EXPECT_EQ(ok->rows.size(), 5000u);
 }
 
+TEST(GuardrailSqlTest, KeywordSearchChargesOnlyItsWindows) {
+  // findKeyInElm keeps one sliding window of a few times searchKey.size()
+  // bytes per open searchElm element, so a search over a value far larger
+  // than the budget holds only a few bytes and must not trip it.
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (id INTEGER, x XADT)").ok());
+  std::string doc = "<r>";
+  for (int i = 0; i < 4000; ++i) {
+    doc += "<a>text of fragment number " + std::to_string(i) + "</a>";
+  }
+  doc += "</r>";
+  ASSERT_GT(doc.size(), 128u * 1024);
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, '" + doc + "')").ok());
+
+  QueryOptions options;
+  options.max_memory_bytes = 64 * 1024;
+  auto found =
+      db->Query("SELECT findKeyInElm(x, 'a', 'zzz') AS f FROM t", options);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->rows.size(), 1u);
+  EXPECT_EQ(found->rows[0][0].AsInt(), 0);
+  auto elm = db->Query("SELECT getElm(x, 'a', 'a', 'zzz') AS g FROM t",
+                       options);
+  ASSERT_TRUE(elm.ok()) << elm.status().ToString();
+  ExpectUsable(db.get());
+}
+
+TEST(GuardrailSqlTest, KeywordSearchOverDeepNestingStaysWithinItsWindows) {
+  // 256 nested <a> elements around one 256 KB text run: every open frame
+  // sees the whole run, yet each keeps only a key-sized window, so the
+  // search runs under a budget far below both the run and frames x run.
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (id INTEGER, x XADT)").ok());
+  constexpr int kDepth = 256;
+  std::string doc;
+  for (int i = 0; i < kDepth; ++i) doc += "<a>";
+  doc += std::string(256 * 1024, 'y') + "needle";
+  for (int i = 0; i < kDepth; ++i) doc += "</a>";
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, '" + doc + "')").ok());
+
+  QueryOptions options;
+  options.max_memory_bytes = 16 * 1024;
+  for (const char* key : {"zzz", "needle"}) {
+    auto found = db->Query(
+        std::string("SELECT findKeyInElm(x, 'a', '") + key + "') AS f FROM t",
+        options);
+    ASSERT_TRUE(found.ok()) << key << ": " << found.status().ToString();
+    ASSERT_EQ(found->rows.size(), 1u);
+    EXPECT_EQ(found->rows[0][0].AsInt(), std::string(key) == "needle" ? 1 : 0)
+        << key;
+  }
+  auto elm = db->Query("SELECT getElm(x, 'a', 'a', 'zzz') AS g FROM t",
+                       options);
+  ASSERT_TRUE(elm.ok()) << elm.status().ToString();
+  ExpectUsable(db.get());
+}
+
 TEST(GuardrailSqlTest, CancelUnknownIdIsNotFound) {
   auto db = OpenDb();
   Status s = db->Cancel(12345);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
 #include "xadt/scanner.h"
@@ -19,6 +21,13 @@ std::string EncodeXml(const std::string& xml_text, bool compressed) {
   std::vector<const xml::Node*> roots;
   for (const auto& c : (*frag)->children()) roots.push_back(c.get());
   return Encode(roots, compressed);
+}
+
+// Appends every element of `node`'s subtree in end-tag (post-) order.
+void PostOrder(const xml::Node& node, std::vector<const xml::Node*>* out) {
+  if (!node.is_element()) return;
+  for (const auto& c : node.children()) PostOrder(*c, out);
+  out->push_back(&node);
 }
 
 struct FlatEvent {
@@ -122,6 +131,30 @@ TEST_P(ScannerFormatTest, AgreesWithDomOnRandomDocs) {
       ASSERT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+    // One-pass unnest, per element name: every fragment's text equals a
+    // re-scan of its own value and the DOM element's text, in end-tag
+    // order.
+    std::vector<const xml::Node*> elements;
+    PostOrder(**doc, &elements);
+    std::set<std::string> names;
+    for (const xml::Node* e : elements) names.insert(e->name());
+    for (const std::string& name : names) {
+      auto rows = Unnest(bytes, name);
+      ASSERT_TRUE(rows.ok()) << "seed " << seed << " " << name;
+      std::vector<const xml::Node*> want;
+      for (const xml::Node* e : elements) {
+        if (e->name() == name) want.push_back(e);
+      }
+      ASSERT_EQ(rows->size(), want.size()) << "seed " << seed << " " << name;
+      for (size_t i = 0; i < want.size(); ++i) {
+        const UnnestedFragment& row = (*rows)[i];
+        auto rescanned = TextContent(row.value);
+        ASSERT_TRUE(rescanned.ok()) << "seed " << seed << " " << name;
+        EXPECT_EQ(row.text, *rescanned) << "seed " << seed << " " << name;
+        EXPECT_EQ(row.text, want[i]->TextContent())
+            << "seed " << seed << " " << name << " #" << i;
+      }
+    }
   }
 }
 

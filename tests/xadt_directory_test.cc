@@ -81,19 +81,22 @@ TEST_P(DirectoryFormatTest, AllMethodsAgreeWithPlainEncoding) {
             *ToXmlString(*GetElmIndex(plain, "", "LINE", 2, 3)));
   EXPECT_EQ(*ToXmlString(*GetElmIndex(dir, "LINE", "STAGEDIR", 1, 1)),
             *ToXmlString(*GetElmIndex(plain, "LINE", "STAGEDIR", 1, 1)));
-  // unnest: empty tag (fast path) and named tag.
+  // unnest: empty tag and named tag.
   auto dir_all = Unnest(dir, "");
   auto plain_all = Unnest(plain, "");
   ASSERT_EQ(dir_all->size(), plain_all->size());
   for (size_t i = 0; i < dir_all->size(); ++i) {
-    EXPECT_EQ(*ToXmlString((*dir_all)[i]), *ToXmlString((*plain_all)[i]));
+    EXPECT_EQ(*ToXmlString((*dir_all)[i].value),
+              *ToXmlString((*plain_all)[i].value));
+    EXPECT_EQ((*dir_all)[i].text, (*plain_all)[i].text);
   }
   auto dir_lines = Unnest(dir, "LINE");
   auto plain_lines = Unnest(plain, "LINE");
   ASSERT_EQ(dir_lines->size(), plain_lines->size());
   for (size_t i = 0; i < dir_lines->size(); ++i) {
-    EXPECT_EQ(*ToXmlString((*dir_lines)[i]),
-              *ToXmlString((*plain_lines)[i]));
+    EXPECT_EQ(*ToXmlString((*dir_lines)[i].value),
+              *ToXmlString((*plain_lines)[i].value));
+    EXPECT_EQ((*dir_lines)[i].text, (*plain_lines)[i].text);
   }
 }
 

@@ -122,6 +122,30 @@ TEST_P(XadtFormatTest, FindKeyInElm) {
   EXPECT_FALSE(FindKeyInElm(bytes, "", "").ok());
 }
 
+TEST_P(XadtFormatTest, KeySearchSpansTextEvents) {
+  // An element's content is its descendants' text in document order, which
+  // the scanner delivers as separate text events. Keys straddle event
+  // boundaries both through events shorter than the key ("c", "d") and
+  // from a long event's tail ("xxab") into the next one ("cdyy").
+  std::string bytes = EncodeXml(
+      "<a>ab<b>c</b>d<a>e</a></a><a>xxab<b>cdyy</b></a>", GetParam());
+  EXPECT_EQ(*FindKeyInElm(bytes, "a", "abcde"), 1);
+  EXPECT_EQ(*FindKeyInElm(bytes, "a", "abcdy"), 1);
+  EXPECT_EQ(*FindKeyInElm(bytes, "a", "bcdea"), 0);
+  EXPECT_EQ(*FindKeyInElm(bytes, "b", "abc"), 0);
+  // Empty searchElm: any element's content.
+  EXPECT_EQ(*FindKeyInElm(bytes, "", "bcdyy"), 1);
+  EXPECT_EQ(*FindKeyInElm(bytes, "", "bcdz"), 0);
+  // getElm keeps one window per open searchElm: only the outer <a> of the
+  // first root holds "bcde"; the inner <a> holds just "e".
+  auto outer = GetElm(bytes, "a", "a", "bcde");
+  ASSERT_TRUE(outer.ok());
+  EXPECT_EQ(*ToXmlString(*outer), "<a>ab<b>c</b>d<a>e</a></a>");
+  auto tails = GetElm(bytes, "b", "b", "dyy");
+  ASSERT_TRUE(tails.ok());
+  EXPECT_EQ(*ToXmlString(*tails), "<b>cdyy</b>");
+}
+
 TEST_P(XadtFormatTest, GetElmIndexTopLevel) {
   // The paper's QE2: second LINE of the fragment (empty parentElm means the
   // childElm is the root element of the XADT value).
@@ -166,12 +190,87 @@ TEST_P(XadtFormatTest, UnnestPaperExample) {
   auto rows = Unnest(bytes, "speaker");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ(*TextContent((*rows)[0]), "s1");
-  EXPECT_EQ(*TextContent((*rows)[1]), "s2");
+  EXPECT_EQ((*rows)[0].text, "s1");
+  EXPECT_EQ((*rows)[1].text, "s2");
+  EXPECT_EQ(*TextContent((*rows)[0].value), "s1");
+  EXPECT_EQ(*TextContent((*rows)[1].value), "s2");
   // Empty tag: every top-level fragment.
   auto all = Unnest(bytes, "");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 2u);
+}
+
+TEST_P(XadtFormatTest, UnnestNestedSameTagOwnsItsSuffix) {
+  // Matches come out in end-tag order; the inner match's text is the part
+  // of the shared text after it opened, the outer match's is all of it.
+  std::string bytes = EncodeXml("<a>x<a>y</a>z</a>", GetParam());
+  auto rows = Unnest(bytes, "a");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0].text, "y");
+  EXPECT_EQ(*ToXmlString((*rows)[0].value), "<a>y</a>");
+  EXPECT_EQ((*rows)[1].text, "xyz");
+  EXPECT_EQ(*ToXmlString((*rows)[1].value), "<a>x<a>y</a>z</a>");
+  for (const UnnestedFragment& row : *rows) {
+    EXPECT_EQ(IsCompressed(row.value), GetParam());
+    EXPECT_EQ(*TextContent(row.value), row.text);
+  }
+}
+
+TEST_P(XadtFormatTest, UnnestDecodesEntitiesCdataAndComments) {
+  // The raw form keeps entity references, CDATA sections and comments as
+  // written; the compressed form stores the parsed text. Both yield the
+  // decoded character data, and each fragment's text matches a re-scan of
+  // its own value.
+  const std::string xml_text =
+      "<p><a>x &amp; <![CDATA[<y>]]><!-- note -->z</a><b>&lt;</b></p>";
+  std::string bytes =
+      GetParam() ? EncodeXml(xml_text, true) : "R" + xml_text;
+  auto rows = Unnest(bytes, "a");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].text, "x & <y>z");
+  EXPECT_EQ(*TextContent((*rows)[0].value), "x & <y>z");
+  auto all = Unnest(bytes, "p");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 1u);
+  EXPECT_EQ((*all)[0].text, "x & <y>z<");
+  EXPECT_EQ(*TextContent((*all)[0].value), (*all)[0].text);
+}
+
+TEST_P(XadtFormatTest, UnnestEmptyTagYieldsTopLevelFragments) {
+  std::string bytes =
+      EncodeXml("<a>1</a><b>2<c>3</c></b><a>4<a>5</a></a>", GetParam());
+  auto rows = Unnest(bytes, "");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 3u);
+  EXPECT_EQ((*rows)[0].text, "1");
+  EXPECT_EQ(*ToXmlString((*rows)[0].value), "<a>1</a>");
+  EXPECT_EQ((*rows)[1].text, "23");
+  EXPECT_EQ(*ToXmlString((*rows)[1].value), "<b>2<c>3</c></b>");
+  EXPECT_EQ((*rows)[2].text, "45");
+  EXPECT_EQ(*ToXmlString((*rows)[2].value), "<a>4<a>5</a></a>");
+}
+
+TEST_P(XadtFormatTest, UnnestDirectoryValueMatchesPlainValue) {
+  auto frag = xml::ParseFragment(
+      "<LINE>one<STAGEDIR>aside</STAGEDIR></LINE><LINE>two</LINE>"
+      "<STAGEDIR>exit</STAGEDIR>");
+  ASSERT_TRUE(frag.ok());
+  std::vector<const xml::Node*> roots;
+  for (const auto& c : (*frag)->children()) roots.push_back(c.get());
+  std::string plain = Encode(roots, GetParam());
+  std::string dir = EncodeWithDirectory(roots, GetParam());
+  for (std::string_view tag : {"", "LINE", "STAGEDIR", "none"}) {
+    auto want = Unnest(plain, tag);
+    auto got = Unnest(dir, tag);
+    ASSERT_TRUE(want.ok() && got.ok()) << tag;
+    ASSERT_EQ(got->size(), want->size()) << tag;
+    for (size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*got)[i].text, (*want)[i].text) << tag << " " << i;
+      EXPECT_EQ((*got)[i].value, (*want)[i].value) << tag << " " << i;
+    }
+  }
 }
 
 TEST_P(XadtFormatTest, EmptyValueBehaves) {

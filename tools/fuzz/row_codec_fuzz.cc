@@ -7,13 +7,12 @@
 // Input layout: byte 0 is the column count (mod 13), the next n bytes pick
 // column types (mod 6, covering kNull..kXadt), and the rest is the record.
 //
-// Two build modes share this file, exactly like parser_fuzz.cc:
+// This file builds two targets:
 //   * default: `LLVMFuzzerTestOneInput` only, for `clang -fsanitize=fuzzer`
 //     (the `row_codec_fuzz` target, see CMakeLists.txt here);
-//   * -DXO_FUZZ_STANDALONE: adds a main() that replays corpus files (or
-//     directories) deterministically — registered as the
-//     `row_codec_fuzz_corpus` ctest so the checked-in seeds run under every
-//     sanitizer configuration without a fuzzing engine.
+//   * linked with replay_main.cc, whose main() replays the seed corpus
+//     deterministically: the `row_codec_fuzz_replay` target, run as the
+//     `row_codec_fuzz_corpus` ctest.
 
 #include <cstddef>
 #include <cstdint>
@@ -96,63 +95,3 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   return 0;
 }
-
-#ifdef XO_FUZZ_STANDALONE
-
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <vector>
-
-namespace {
-
-int ReplayFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "row_codec_fuzz: cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
-  LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
-                         bytes.size());
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  size_t replayed = 0;
-  int failures = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::filesystem::path arg(argv[i]);
-    if (std::filesystem::is_directory(arg)) {
-      // Sort for a deterministic replay order across platforms.
-      std::vector<std::filesystem::path> files;
-      for (const auto& entry :
-           std::filesystem::recursive_directory_iterator(arg)) {
-        if (entry.is_regular_file()) files.push_back(entry.path());
-      }
-      std::sort(files.begin(), files.end());
-      for (const auto& f : files) {
-        failures += ReplayFile(f);
-        ++replayed;
-      }
-    } else {
-      failures += ReplayFile(arg);
-      ++replayed;
-    }
-  }
-  if (replayed == 0) {
-    std::fprintf(stderr,
-                 "usage: row_codec_fuzz_replay <corpus-dir-or-file>...\n");
-    return 1;
-  }
-  std::fprintf(stderr, "row_codec_fuzz: replayed %zu corpus input(s)\n",
-               replayed);
-  return failures == 0 ? 0 : 1;
-}
-
-#endif  // XO_FUZZ_STANDALONE
