@@ -102,21 +102,19 @@ void BM_FindKeyInElm(benchmark::State& state) {
 }
 BENCHMARK(BM_FindKeyInElm)->Arg(0)->Arg(1);
 
-void BM_GetElmIndexPlainVsDirectory(benchmark::State& state) {
-  // The Section 5 metadata extension: order access via the fragment
-  // directory vs a full scan. range(0): 0 = plain, 1 = directory.
-  auto frag = MakeSpeechFragment(256);
-  std::vector<const xml::Node*> roots;
-  for (const auto& c : frag->children()) roots.push_back(c.get());
-  std::string bytes = state.range(0) == 0
-                          ? xadt::Encode(roots, /*compressed=*/false)
-                          : xadt::EncodeWithDirectory(roots, false);
+void BM_GetElmIndexSecondLine(benchmark::State& state) {
+  // QS6's order access: the second LINE of a raw speech_line value. The
+  // scan stops once that LINE closes, so the cost should not grow with
+  // the fragment's length. range(0): lines in the fragment.
+  auto frag = MakeSpeechFragment(static_cast<int>(state.range(0)));
+  std::string bytes = xadt::EncodeRaw(Children(*frag));
   for (auto _ : state) {
-    auto out = xadt::GetElmIndex(bytes, "", "LINE", 250, 250);
+    auto out = xadt::GetElmIndex(bytes, "", "LINE", 2, 2);
     benchmark::DoNotOptimize(out);
   }
+  state.counters["bytes"] = static_cast<double>(bytes.size());
 }
-BENCHMARK(BM_GetElmIndexPlainVsDirectory)->Arg(0)->Arg(1);
+BENCHMARK(BM_GetElmIndexSecondLine)->Arg(4)->Arg(256);
 
 void BM_Unnest(benchmark::State& state) {
   auto frag = MakeSpeechFragment(64);
@@ -253,15 +251,16 @@ void PrintSizeSweep() {
     if (!frag.ok()) continue;
     std::vector<const xml::Node*> roots;
     for (const auto& child : (*frag)->children()) roots.push_back(child.get());
-    xadt::CompressionAdvisor advisor(0.2);
-    advisor.AddSample(roots);
-    double saving =
-        1.0 - static_cast<double>(advisor.compressed_bytes()) /
-                  static_cast<double>(advisor.raw_bytes());
-    table.AddRow({c.label, std::to_string(advisor.raw_bytes()),
-                  std::to_string(advisor.compressed_bytes()),
+    const size_t raw_bytes = xadt::EncodeRaw(roots).size();
+    const size_t compressed_bytes = xadt::EncodeCompressed(roots).size();
+    double saving = 1.0 - static_cast<double>(compressed_bytes) /
+                              static_cast<double>(raw_bytes);
+    table.AddRow({c.label, std::to_string(raw_bytes),
+                  std::to_string(compressed_bytes),
                   benchutil::Fmt(saving * 100, 1) + "%",
-                  advisor.UseCompression() ? "compressed" : "raw"});
+                  xadt::CompressionPays(raw_bytes, compressed_bytes)
+                      ? "compressed"
+                      : "raw"});
   }
   table.Print();
 }

@@ -7,6 +7,11 @@
 
 namespace xorator::benchutil {
 
+namespace {
+// Documents whose statistics drive Mapping::kXoratorTuned.
+constexpr size_t kTunedSampleDocs = 5;
+}  // namespace
+
 Result<mapping::MappedSchema> MapDtd(const std::string& dtd_text,
                                      Mapping mapping) {
   XO_ASSIGN_OR_RETURN(xml::Dtd dtd, xml::ParseDtd(dtd_text));
@@ -38,7 +43,7 @@ Result<ExperimentDb> BuildExperimentDb(
     std::vector<const xml::Node*> sample(
         documents.begin(),
         documents.begin() +
-            std::min(documents.size(), options.tuned_sample_docs));
+            std::min(documents.size(), kTunedSampleDocs));
     mapping::XmlStats stats = mapping::CollectXmlStats(sample);
     XO_ASSIGN_OR_RETURN(out.schema, mapping::MapXoratorTuned(
                                         simplified, stats, options.tuned));

@@ -40,9 +40,8 @@ struct ExperimentOptions {
   shred::LoadOptions load_options;
   ordb::DbOptions db_options;
   /// Thresholds for Mapping::kXoratorTuned (statistics collected from the
-  /// first `tuned_sample_docs` documents).
+  /// first five documents).
   mapping::TunedOptions tuned;
-  size_t tuned_sample_docs = 5;
 };
 
 /// Builds a database for `dtd_text`, loads `documents` (multiplied), creates

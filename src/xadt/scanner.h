@@ -43,9 +43,8 @@ class XO_GSL_POINTER(char) FragmentScanner {
   };
 
   /// `bytes` must outlive the scanner (enforced on Clang builds via the
-  /// lifetime-bound parameter). Accepts all three representations (raw,
-  /// compressed, and the directory-prefixed form, whose directory is
-  /// parsed into top_ranges()).
+  /// lifetime-bound parameter). Accepts both representations, raw ('R')
+  /// and compressed ('C'); any other first byte is a kParseError.
   [[nodiscard]] static Result<FragmentScanner> Create(
       std::string_view bytes XO_LIFETIME_BOUND);
 
@@ -55,22 +54,6 @@ class XO_GSL_POINTER(char) FragmentScanner {
 
   bool compressed() const { return compressed_; }
 
-  /// True when the value carries a top-level fragment directory
-  /// (the 'D' representation, the paper's Section 5 metadata extension).
-  bool has_directory() const { return has_directory_; }
-
-  /// Absolute (start, end) byte ranges of the top-level fragments, from the
-  /// directory; empty unless has_directory().
-  const std::vector<std::pair<size_t, size_t>>& top_ranges() const {
-    return top_ranges_;
-  }
-
-  /// Element name of the start event at `offset` (which must be the first
-  /// byte of an element in this value), without advancing the scanner. The
-  /// view points into the scanner's bytes.
-  [[nodiscard]] Result<std::string_view> NameAt(size_t offset) const
-      XO_LIFETIME_BOUND;
-
   /// Offset where the token/markup stream begins (after the marker byte
   /// and, for the compressed form, the dictionary).
   size_t content_begin() const { return content_begin_; }
@@ -78,7 +61,7 @@ class XO_GSL_POINTER(char) FragmentScanner {
   /// The dictionary prefix of a compressed value ('C' + dictionary), usable
   /// verbatim as the header of a sliced output value.
   std::string_view header() const XO_LIFETIME_BOUND {
-    return bytes_.substr(payload_base_, content_begin_ - payload_base_);
+    return bytes_.substr(0, content_begin_);
   }
 
  private:
@@ -90,11 +73,6 @@ class XO_GSL_POINTER(char) FragmentScanner {
 
   std::string_view bytes_;
   bool compressed_ = false;
-  bool has_directory_ = false;
-  /// First byte of the embedded payload ('R'/'C' marker) for the directory
-  /// form; 0 otherwise.
-  size_t payload_base_ = 0;
-  std::vector<std::pair<size_t, size_t>> top_ranges_;
   size_t content_begin_ = 1;
   size_t pos_ = 0;
   // Stack of open element names, as views into bytes_.

@@ -62,7 +62,6 @@ Status ChargeWindows(ExpansionBudget* budget, size_t open_frames,
 
 constexpr char kRawMarker = 'R';
 constexpr char kCompressedMarker = 'C';
-constexpr char kDirectoryMarker = 'D';
 
 // Token opcodes of the compressed representation.
 constexpr uint8_t kTokStart = 0x01;
@@ -187,33 +186,8 @@ Result<std::unique_ptr<xml::Node>> DecodeCompressed(std::string_view bytes) {
 
 }  // namespace
 
-namespace {
-
-/// Strips a directory prefix, returning the embedded 'R'/'C' payload (the
-/// input itself when no directory is present). Malformed directories yield
-/// an empty view, which downstream decoding rejects.
-std::string_view StripDirectory(std::string_view bytes XO_LIFETIME_BOUND) {
-  if (bytes.empty() || bytes[0] != kDirectoryMarker) return bytes;
-  size_t pos = 1;
-  auto count = GetVarint(bytes, &pos);
-  if (!count.ok()) return std::string_view();
-  for (uint64_t i = 0; i < *count; ++i) {
-    if (!GetVarint(bytes, &pos).ok() || !GetVarint(bytes, &pos).ok()) {
-      return std::string_view();
-    }
-  }
-  return bytes.substr(pos);
-}
-
-}  // namespace
-
 bool IsCompressed(std::string_view bytes) {
-  std::string_view payload = StripDirectory(bytes);
-  return !payload.empty() && payload[0] == kCompressedMarker;
-}
-
-bool HasDirectory(std::string_view bytes) {
-  return !bytes.empty() && bytes[0] == kDirectoryMarker;
+  return !bytes.empty() && bytes[0] == kCompressedMarker;
 }
 
 std::string EncodeRaw(const std::vector<const xml::Node*>& fragments) {
@@ -241,43 +215,7 @@ std::string Encode(const std::vector<const xml::Node*>& fragments,
   return compressed ? EncodeCompressed(fragments) : EncodeRaw(fragments);
 }
 
-std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
-                                bool compressed) {
-  std::string payload = Encode(fragments, compressed);
-  // Locate the (start, length) of every top-level fragment in the payload.
-  std::vector<std::pair<size_t, size_t>> ranges;
-  auto scanner = FragmentScanner::Create(payload);
-  if (scanner.ok()) {
-    size_t depth = 0;
-    size_t open_offset = 0;
-    while (true) {
-      auto event = scanner->Next();
-      if (!event.ok() || event->kind == FragmentScanner::EventKind::kEof) {
-        break;
-      }
-      if (event->kind == FragmentScanner::EventKind::kStart) {
-        if (depth == 0) open_offset = event->offset;
-        ++depth;
-      } else if (event->kind == FragmentScanner::EventKind::kEnd) {
-        --depth;
-        if (depth == 0) {
-          ranges.emplace_back(open_offset, event->end_offset - open_offset);
-        }
-      }
-    }
-  }
-  std::string out(1, kDirectoryMarker);
-  PutVarint(&out, ranges.size());
-  for (const auto& [start, len] : ranges) {
-    PutVarint(&out, start);
-    PutVarint(&out, len);
-  }
-  out += payload;
-  return out;
-}
-
 Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes) {
-  bytes = StripDirectory(bytes);
   if (bytes.empty()) return xml::Node::Element("#fragment");
   if (bytes[0] == kRawMarker) {
     return xml::ParseFragment(bytes.substr(1));
@@ -289,7 +227,6 @@ Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes) {
 }
 
 Result<std::string> ToXmlString(std::string_view bytes) {
-  bytes = StripDirectory(bytes);
   if (bytes.empty()) return std::string();
   if (bytes[0] == kRawMarker) return std::string(bytes.substr(1));
   XO_ASSIGN_OR_RETURN(auto root, Decode(bytes));
@@ -312,17 +249,10 @@ Result<std::string> TextContent(std::string_view bytes) {
   }
 }
 
-void CompressionAdvisor::AddSample(
-    const std::vector<const xml::Node*>& fragments) {
-  raw_bytes_ += EncodeRaw(fragments).size();
-  compressed_bytes_ += EncodeCompressed(fragments).size();
-}
-
-bool CompressionAdvisor::UseCompression() const {
-  if (raw_bytes_ == 0) return false;
-  double saving = 1.0 - static_cast<double>(compressed_bytes_) /
-                            static_cast<double>(raw_bytes_);
-  return saving >= min_saving_;
+bool CompressionPays(uint64_t raw_bytes, uint64_t compressed_bytes) {
+  return raw_bytes > 0 &&
+         static_cast<double>(compressed_bytes) <=
+             (1.0 - kMinCompressionSaving) * static_cast<double>(raw_bytes);
 }
 
 Result<std::string> GetElm(std::string_view in, std::string_view root_elm,
@@ -497,23 +427,6 @@ Result<std::string> GetElmIndex(std::string_view in,
   std::string out(scanner.header());
   if (out.empty()) out.push_back(kRawMarker);
 
-  if (parent_elm.empty() && scanner.has_directory()) {
-    // Directory fast path: the fragment roots are indexed, so the
-    // requested positions are sliced without scanning fragment bodies.
-    int count = 0;
-    for (const auto& [start, end] : scanner.top_ranges()) {
-      XO_ASSIGN_OR_RETURN(std::string_view name, scanner.NameAt(start));
-      if (name != child_elm) continue;
-      ++count;
-      if (count >= start_pos && count <= end_pos) {
-        RETURN_IF_ERROR(budget.Charge(end - start));
-        out.append(in.substr(start, end - start));
-      }
-      if (count >= end_pos) break;
-    }
-    return out;
-  }
-
   struct Frame {
     std::string_view name;
     int child_count = 0;  // direct children named child_elm so far
@@ -559,6 +472,12 @@ Result<std::string> GetElmIndex(std::string_view in,
           RETURN_IF_ERROR(budget.Charge(event.end_offset - c.start_offset));
           out.append(
               in.substr(c.start_offset, event.end_offset - c.start_offset));
+        }
+        if (parent_elm.empty() && depth == 0 &&
+            frames.back().child_count >= end_pos) {
+          // Order access on the fragment roots: the end_pos-th root
+          // child_elm has closed, so no later element can match.
+          return out;
         }
         break;
     }

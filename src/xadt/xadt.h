@@ -1,6 +1,7 @@
 #ifndef XORATOR_XADT_XADT_H_
 #define XORATOR_XADT_XADT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,12 +26,8 @@ namespace xorator::xadt {
 /// methods accept either representation and produce their output in the same
 /// representation as their input.
 
-/// True if `bytes` holds the compressed representation (looking through a
-/// directory prefix when present).
+/// True if `bytes` holds the compressed representation.
 bool IsCompressed(std::string_view bytes);
-
-/// True if `bytes` carries the directory-prefixed representation.
-bool HasDirectory(std::string_view bytes);
 
 /// Encodes `fragments` (subtree roots; borrowed) in the raw representation.
 std::string EncodeRaw(const std::vector<const xml::Node*>& fragments);
@@ -42,14 +39,6 @@ std::string EncodeCompressed(const std::vector<const xml::Node*>& fragments);
 std::string Encode(const std::vector<const xml::Node*>& fragments,
                    bool compressed);
 
-/// The paper's Section 5 metadata extension: prefixes the encoded value
-/// with a directory of (offset, length) pairs, one per top-level fragment,
-/// so order-access methods (getElmIndex with an empty parentElm, unnest of
-/// the fragment roots) can slice fragments without scanning their bodies.
-/// All XADT methods accept this representation transparently.
-std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
-                                bool compressed);
-
 /// Decodes an XADT value into a DOM forest under a synthetic `#fragment`
 /// root node.
 [[nodiscard]] Result<std::unique_ptr<xml::Node>> Decode(std::string_view bytes);
@@ -60,28 +49,14 @@ std::string EncodeWithDirectory(const std::vector<const xml::Node*>& fragments,
 /// Concatenated text content of all fragments.
 [[nodiscard]] Result<std::string> TextContent(std::string_view bytes);
 
-/// Decides between the two representations by trial-encoding sample
-/// fragments: compression is chosen only when it saves at least
-/// `min_saving` (the paper uses 20%) of the raw size (Section 4.1).
-class CompressionAdvisor {
- public:
-  explicit CompressionAdvisor(double min_saving = 0.2)
-      : min_saving_(min_saving) {}
+/// The paper's 20% rule (Section 4.1): compression pays only when it saves
+/// at least this share of the raw size.
+inline constexpr double kMinCompressionSaving = 0.2;
 
-  /// Accounts one sample fragment forest.
-  void AddSample(const std::vector<const xml::Node*>& fragments);
-
-  size_t raw_bytes() const { return raw_bytes_; }
-  size_t compressed_bytes() const { return compressed_bytes_; }
-
-  /// True if enough saving was observed over the samples so far.
-  bool UseCompression() const;
-
- private:
-  double min_saving_;
-  size_t raw_bytes_ = 0;
-  size_t compressed_bytes_ = 0;
-};
+/// Decides between the two representations from trial-encoded sample sizes:
+/// true if `raw_bytes` is non-zero and `compressed_bytes` saves at least
+/// kMinCompressionSaving of it.
+bool CompressionPays(uint64_t raw_bytes, uint64_t compressed_bytes);
 
 // ---------------------------------------------------------------------------
 // XADT methods (Section 3.4.2). These mirror the UDFs the paper registered
@@ -100,7 +75,9 @@ class CompressionAdvisor {
 
 /// Returns 1 if some `search_elm` element's text contains `search_key`
 /// (empty `search_elm`: any element; empty `search_key`: existence test).
-/// Both arguments empty is an error.
+/// Both arguments empty is an error. The scan returns at the first match,
+/// so bytes after it are never read: a value damaged only there still
+/// answers 1.
 [[nodiscard]] Result<int64_t> FindKeyInElm(std::string_view in, std::string_view search_elm,
                              std::string_view search_key);
 
@@ -108,6 +85,13 @@ class CompressionAdvisor {
 /// `parent_elm` elements with 1-based same-tag sibling position in
 /// [start_pos, end_pos]. An empty `parent_elm` treats `child_elm` as the
 /// fragment roots. `child_elm` must not be empty.
+///
+/// With an empty `parent_elm` the scan returns as soon as the `end_pos`-th
+/// fragment-root `child_elm` has closed, since no later element can match:
+/// the paper's order access (QS6's second LINE) costs O(position), not
+/// O(value), and, as with findKeyInElm's early return, bytes after that
+/// point are never read. A value damaged only there still yields the
+/// requested elements; stored bytes are guarded by the page checksums.
 [[nodiscard]] Result<std::string> GetElmIndex(std::string_view in,
                                 std::string_view parent_elm,
                                 std::string_view child_elm, int start_pos,

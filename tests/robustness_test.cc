@@ -108,7 +108,9 @@ TEST(SqlRobustnessTest, DeleteResolvesWhereBeforeScanning) {
   // An unknown column or function is an error whether or not a row would
   // reach it — on an empty table too — exactly as for the same SELECT.
   for (bool empty : {true, false}) {
-    if (!empty) ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'x')").ok());
+    if (!empty) {
+      ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'x')").ok());
+    }
     for (const char* where : {"nosuch = 1", "nofn(a) = 1", "u.a = 1"}) {
       const std::string suffix = std::string(" FROM t WHERE ") + where;
       auto select = db->Query("SELECT a" + suffix);

@@ -158,6 +158,70 @@ TEST_P(ScannerFormatTest, AgreesWithDomOnRandomDocs) {
   }
 }
 
+// getElmIndex on the fragment roots by its definition: the fragment-root
+// `tag` elements of `roots` (Unnest(value, "")) at positions
+// [start, end], rendered to XML.
+Result<std::string> RootsAtPositions(
+    const std::vector<UnnestedFragment>& roots, std::string_view tag,
+    int start, int end) {
+  std::string out;
+  int position = 0;
+  for (const UnnestedFragment& root : roots) {
+    XO_ASSIGN_OR_RETURN(std::vector<FlatEvent> events, Drain(root.value));
+    if (events.empty() || events[0].name_or_text != tag) continue;
+    ++position;
+    if (position < start || position > end) continue;
+    XO_ASSIGN_OR_RETURN(std::string xml, ToXmlString(root.value));
+    out += xml;
+  }
+  return out;
+}
+
+TEST_P(ScannerFormatTest, OrderAccessOnRootsMatchesUnnestOnRandomDocs) {
+  // getElmIndex(v, "", tag, s, e) stops once the e-th root `tag` closes;
+  // differential check against unnest over whole values. The values are
+  // the LINE children of each SPEECH (XORator's speech_line) and all of a
+  // SPEECH's children, whose roots mix SPEAKER, LINE and STAGEDIR while
+  // STAGEDIR also nests inside LINE.
+  const std::pair<int, int> kRanges[] = {
+      {1, 1}, {2, 2}, {1, 3},  {3, 5},     {2, 1000}, {1000, 1000},
+      {4, 2}, {0, 0}, {-3, -1}, {-1, 2}, {0, 1}};
+  auto dtd = xml::ParseDtd(datagen::kShakespeareDtd);
+  ASSERT_TRUE(dtd.ok());
+  size_t checked = 0;
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    datagen::RandomDocOptions opts;
+    opts.seed = seed;
+    datagen::RandomDocGenerator gen(&*dtd, opts);
+    auto doc = gen.Generate("PLAY");
+    ASSERT_TRUE(doc.ok());
+    std::vector<const xml::Node*> elements;
+    PostOrder(**doc, &elements);
+    for (const xml::Node* speech : elements) {
+      if (speech->name() != "SPEECH") continue;
+      for (const std::vector<const xml::Node*>& fragments :
+           {speech->ChildElements("LINE"), speech->ChildElements()}) {
+        std::string bytes = Encode(fragments, GetParam());
+        auto roots = Unnest(bytes, "");
+        ASSERT_TRUE(roots.ok()) << "seed " << seed;
+        for (std::string_view tag : {"LINE", "STAGEDIR", "SPEAKER"}) {
+          for (auto [start, end] : kRanges) {
+            auto got = GetElmIndex(bytes, "", tag, start, end);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            auto want = RootsAtPositions(*roots, tag, start, end);
+            ASSERT_TRUE(want.ok()) << want.status().ToString();
+            EXPECT_EQ(*ToXmlString(*got), *want)
+                << "seed " << seed << " " << tag << " [" << start << ", "
+                << end << "]";
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(RawAndCompressed, ScannerFormatTest,
                          ::testing::Values(false, true));
 

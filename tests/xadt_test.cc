@@ -2,6 +2,7 @@
 
 #include "datagen/dtds.h"
 #include "datagen/generators.h"
+#include "xadt/scanner.h"
 #include "xadt/xadt.h"
 #include "xml/dtd.h"
 #include "xml/parser.h"
@@ -252,25 +253,23 @@ TEST_P(XadtFormatTest, UnnestEmptyTagYieldsTopLevelFragments) {
   EXPECT_EQ(*ToXmlString((*rows)[2].value), "<a>4<a>5</a></a>");
 }
 
-TEST_P(XadtFormatTest, UnnestDirectoryValueMatchesPlainValue) {
-  auto frag = xml::ParseFragment(
-      "<LINE>one<STAGEDIR>aside</STAGEDIR></LINE><LINE>two</LINE>"
-      "<STAGEDIR>exit</STAGEDIR>");
-  ASSERT_TRUE(frag.ok());
-  std::vector<const xml::Node*> roots;
-  for (const auto& c : (*frag)->children()) roots.push_back(c.get());
-  std::string plain = Encode(roots, GetParam());
-  std::string dir = EncodeWithDirectory(roots, GetParam());
-  for (std::string_view tag : {"", "LINE", "STAGEDIR", "none"}) {
-    auto want = Unnest(plain, tag);
-    auto got = Unnest(dir, tag);
-    ASSERT_TRUE(want.ok() && got.ok()) << tag;
-    ASSERT_EQ(got->size(), want->size()) << tag;
-    for (size_t i = 0; i < want->size(); ++i) {
-      EXPECT_EQ((*got)[i].text, (*want)[i].text) << tag << " " << i;
-      EXPECT_EQ((*got)[i].value, (*want)[i].value) << tag << " " << i;
-    }
-  }
+TEST_P(XadtFormatTest, OrderAccessStopsAtItsLastPosition) {
+  // getElmIndex on the fragment roots returns once the end_pos-th root
+  // has closed, so damage after it goes unread and the requested elements
+  // still come back; asking past the damage reads it and fails. Appended
+  // here: an end with no open element, in either representation.
+  std::string bytes = EncodeXml(
+      "<LINE>first</LINE><LINE>second</LINE><LINE>third</LINE>", GetParam());
+  bytes += GetParam() ? "\x02" : "</LINE>";
+  auto out = GetElmIndex(bytes, "", "LINE", 2, 3);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*ToXmlString(*out), "<LINE>second</LINE><LINE>third</LINE>");
+  auto past = GetElmIndex(bytes, "", "LINE", 2, 4);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kParseError);
+  // findKeyInElm's early return has the same reach.
+  EXPECT_EQ(*FindKeyInElm(bytes, "LINE", "third"), 1);
+  EXPECT_FALSE(FindKeyInElm(bytes, "LINE", "fourth").ok());
 }
 
 TEST_P(XadtFormatTest, EmptyValueBehaves) {
@@ -303,25 +302,56 @@ TEST(XadtCompressionTest, UniqueTagsCompressPoorly) {
   EXPECT_GE(compressed.size() + 2, raw.size());
 }
 
-TEST(XadtCompressionTest, AdvisorFollowsTwentyPercentRule) {
-  auto frag = xml::ParseFragment(
-      "<LINE>a</LINE><LINE>b</LINE><LINE>c</LINE><LINE>d</LINE>"
-      "<LINE>e</LINE><LINE>f</LINE><LINE>g</LINE><LINE>h</LINE>");
-  ASSERT_TRUE(frag.ok());
-  std::vector<const xml::Node*> roots;
-  for (const auto& c : (*frag)->children()) roots.push_back(c.get());
-  CompressionAdvisor advisor(0.2);
-  advisor.AddSample(roots);
-  EXPECT_GT(advisor.raw_bytes(), 0u);
+TEST(XadtCompressionTest, CompressionPaysOnlyAtTwentyPercent) {
+  EXPECT_TRUE(CompressionPays(1000, 800));   // saves exactly 20%
+  EXPECT_FALSE(CompressionPays(1000, 801));  // saves just under
+  EXPECT_TRUE(CompressionPays(1000, 10));
+  EXPECT_FALSE(CompressionPays(1000, 1200));  // grows
+  EXPECT_FALSE(CompressionPays(0, 0));        // nothing sampled
   // Many repeated tags: compression wins.
-  EXPECT_TRUE(advisor.UseCompression());
+  std::string xml_text;
+  for (char c = 'a'; c <= 'h'; ++c) {
+    xml_text += std::string("<LINE>") + c + "</LINE>";
+  }
+  EXPECT_TRUE(CompressionPays(EncodeXml(xml_text, false).size(),
+                              EncodeXml(xml_text, true).size()));
+}
 
-  CompressionAdvisor strict(0.99);
-  strict.AddSample(roots);
-  EXPECT_FALSE(strict.UseCompression());
-
-  CompressionAdvisor empty(0.2);
-  EXPECT_FALSE(empty.UseCompression());
+TEST(XadtErrorsTest, DirectoryRepresentationRejected) {
+  // The 'D' (directory-prefixed) values of the fuzz seeds
+  // corpus_xadt/directory_raw and directory_compressed, selector byte
+  // dropped. 'D' is no longer a representation: every entry point reports
+  // the unknown marker as a parse error.
+  using namespace std::string_view_literals;
+  const std::string_view kValues[] = {
+      "D\x03\x01;<\x22^\x19R<LINE>but soft <STAGEDIR>aside</STAGEDIR> what "
+      "light</LINE><LINE>through yonder window</LINE><LINE a=\x22" "1\x22>"
+      "breaks</LINE>"sv,
+      "D\x03\x12'9\x1bT\x0f" "C\x03\x04LINE\x08STAGEDIR\x01" "a\x01\x00\x00"
+      "\x03\x09" "but soft \x01\x01\x00\x03\x05" "aside\x02\x03\x0b what light"
+      "\x02\x01\x00\x00\x03\x15through yonder window\x02\x01\x00\x01\x02\x01"
+      "1\x03\x06" "breaks\x02"sv,
+  };
+  ASSERT_EQ(kValues[0].size(), 127u);
+  ASSERT_EQ(kValues[1].size(), 107u);
+  for (std::string_view value : kValues) {
+    auto expect_parse_error = [&](const Status& status, const char* what) {
+      EXPECT_EQ(status.code(), StatusCode::kParseError)
+          << what << ": " << status.ToString();
+    };
+    expect_parse_error(FragmentScanner::Create(value).status(), "scanner");
+    expect_parse_error(Decode(value).status(), "Decode");
+    expect_parse_error(ToXmlString(value).status(), "ToXmlString");
+    expect_parse_error(TextContent(value).status(), "TextContent");
+    expect_parse_error(GetElm(value, "LINE", "LINE", "soft").status(),
+                       "getElm");
+    expect_parse_error(FindKeyInElm(value, "LINE", "soft").status(),
+                       "findKeyInElm");
+    expect_parse_error(GetElmIndex(value, "", "LINE", 2, 2).status(),
+                       "getElmIndex");
+    expect_parse_error(Unnest(value, "").status(), "unnest");
+    EXPECT_FALSE(IsCompressed(value));
+  }
 }
 
 TEST(XadtErrorsTest, BadInputsRejected) {

@@ -6,17 +6,23 @@
 //     clean error (parse, corruption, or kResourceExhausted), never a
 //     runaway allocation;
 //   * wherever Unnest succeeds, each fragment's text equals TextContent of
-//     its own value: the one-pass text matches a re-scan of the slice.
+//     its own value: the one-pass text matches a re-scan of the slice;
+//   * wherever both succeed, getElmIndex on the fragment roots (empty
+//     parentElm), which stops at its last position, renders the same XML
+//     as the root `childElm` fragments of Unnest(value, "") at those
+//     positions.
 //
 // Input layout: byte 0 picks the element-name arguments from kNames — bits
 // 0-1 the tag / rootElm / childElm, bits 2-3 the searchElm / parentElm —
-// and bits 4-6 the level / position arguments; the rest is the XADT value.
+// bits 4-6 the level / end-position argument and bit 7 the start position
+// (1 or 2); the rest is the XADT value.
 //
-// The seed corpus (corpus_xadt/) was written with the library's own
-// encoders (EncodeRaw, EncodeCompressed, EncodeWithDirectory) and then
-// cut or patched by hand: raw, compressed and directory values, a value
-// truncated inside its dictionary, a bad token opcode, and nested
-// same-tag elements.
+// The seed corpus (corpus_xadt/) was written with the library's encoders
+// (EncodeRaw, EncodeCompressed) and then cut or patched by hand: raw and
+// compressed values, a value truncated inside its dictionary, a bad token
+// opcode, and nested same-tag elements. The two directory_* seeds hold
+// values with the retired 'D' (fragment directory) marker, which every
+// method must reject as an unknown representation.
 //
 // This file builds two targets:
 //   * default: `LLVMFuzzerTestOneInput` only, for `clang -fsanitize=fuzzer`
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "ordb/query_guard.h"
+#include "xadt/scanner.h"
 #include "xadt/xadt.h"
 
 namespace {
@@ -56,6 +63,44 @@ void Check(bool ok, const char* what) {
   }
 }
 
+// Element name of a single-element value's root ("" if it has none).
+std::string RootName(std::string_view value) {
+  auto scanner = xadt::FragmentScanner::Create(value);
+  if (!scanner.ok()) return "";
+  auto event = scanner->Next();
+  if (!event.ok() || event->kind != xadt::FragmentScanner::EventKind::kStart) {
+    return "";
+  }
+  return std::string(event->name);
+}
+
+// The getElmIndex property, run under the caller's guard. Any error here
+// (including a budget stop while rendering) ends the check unasserted.
+void CheckOrderAccess(const std::string& value, std::string_view child,
+                      int start, int end) {
+  auto by_index = xadt::GetElmIndex(value, "", child, start, end);
+  auto roots = xadt::Unnest(value, "");
+  if (!by_index.ok() || !roots.ok()) {
+    by_index.status().IgnoreError();
+    roots.status().IgnoreError();
+    return;
+  }
+  auto got = xadt::ToXmlString(*by_index);
+  if (!got.ok()) return;
+  std::string want;
+  int position = 0;
+  for (const xadt::UnnestedFragment& root : *roots) {
+    if (RootName(root.value) != child) continue;
+    ++position;
+    if (position < start || position > end) continue;
+    auto xml = xadt::ToXmlString(root.value);
+    if (!xml.ok()) return;
+    want += *xml;
+  }
+  Check(*got == want,
+        "getElmIndex on the roots differs from unnest at those positions");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -65,6 +110,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view first = kNames[selector & 3];
   const std::string_view second = kNames[(selector >> 2) & 3];
   const int number = (selector >> 4) & 7;
+  const int start = 1 + (selector >> 7);
 
   std::vector<xadt::UnnestedFragment> fragments;
   {
@@ -82,6 +128,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                       "fuzz input; errors expected");
     auto unnested = xadt::Unnest(value, first);
     if (unnested.ok()) fragments = std::move(unnested).value();
+    CheckOrderAccess(value, first, start, number);
   }
   // Outside the guard: a fragment's text is no longer than its value, so
   // the re-scan is bounded by what the guarded call already produced.
