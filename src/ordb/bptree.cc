@@ -4,6 +4,17 @@
 
 namespace xorator::ordb {
 
+std::optional<uint64_t> IndexKey(TypeId key_type, const Value& v) {
+  if (v.is_null()) return std::nullopt;
+  if (key_type != TypeId::kInteger) return v.Hash();
+  if (v.type() == TypeId::kInteger || v.type() == TypeId::kBoolean) {
+    return IntIndexKey(v.AsInt());
+  }
+  if (v.type() != TypeId::kDouble) return std::nullopt;
+  const std::optional<int64_t> exact = ExactInt64(v.AsDouble());
+  return exact ? std::optional<uint64_t>(IntIndexKey(*exact)) : std::nullopt;
+}
+
 namespace {
 
 // Node layout, after the common checksummed page header (kPageHeaderBytes).

@@ -2,12 +2,14 @@
 #define XORATOR_ORDB_BPTREE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "ordb/buffer_pool.h"
 #include "ordb/page.h"
+#include "ordb/value.h"
 
 namespace xorator::ordb {
 
@@ -24,10 +26,19 @@ inline uint64_t IntIndexKey(int64_t v) {
   return static_cast<uint64_t>(v) ^ (1ULL << 63);
 }
 
+/// The key rule, used by every index writer and prober: the key that an
+/// index on a `key_type` column files value `v` under. An INTEGER index
+/// keeps IntIndexKey for integral numbers; every other type uses
+/// Value::Hash(), which agrees with Equals across INTEGER, DOUBLE and
+/// BOOLEAN and is Hash64 for VARCHAR. nullopt means no row can match:
+/// NULL, or a fraction or string probing an INTEGER index. Part of the
+/// on-disk format (kCatalogVersion).
+std::optional<uint64_t> IndexKey(TypeId key_type, const Value& v);
+
 /// A paged B+-tree mapping fixed-size 64-bit keys to record ids.
 ///
-/// Keys are 64-bit: integer columns use the order-preserving transform
-/// above; string columns index a 64-bit hash (point lookups only, with the
+/// Keys are 64-bit, made by IndexKey above: INTEGER columns keep their
+/// order, every other column indexes a hash (point lookups only, with the
 /// executor rechecking the predicate on the heap tuple). Duplicate keys are
 /// supported — entries are unique on (key, rid).
 ///

@@ -20,15 +20,7 @@ Result<TableInfo*> Catalog::CreateTable(const std::string& name,
   info->name = name;
   info->schema = std::move(schema);
   info->heap = std::make_unique<HeapFile>(heap);
-  info->stats.columns.resize(info->schema.size());
-  TableInfo* raw = info.get();
-  xo::WriterLock lock(&mu_);
-  if (table_by_name_.count(name)) {
-    return Status::AlreadyExists("table '" + name + "' exists");
-  }
-  tables_.push_back(std::move(info));
-  table_by_name_[name] = raw;
-  return raw;
+  return RestoreTable(std::move(info));
 }
 
 Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
@@ -60,11 +52,7 @@ Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
   // the FindIndex check above cannot be raced by another CreateIndex.
   XO_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool));
   info->tree = std::make_unique<BPlusTree>(tree);
-  IndexInfo* raw = info.get();
-  xo::WriterLock lock(&mu_);
-  indexes_.push_back(std::move(info));
-  t->indexes.push_back(raw);
-  return raw;
+  return RestoreIndex(std::move(info));
 }
 
 Result<TableInfo*> Catalog::RestoreTable(std::unique_ptr<TableInfo> info) {

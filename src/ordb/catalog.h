@@ -70,11 +70,11 @@ class Catalog {
                                  const std::string& column, BufferPool* pool)
       XO_EXCLUDES(mu_);
 
-  /// Re-registers a table deserialized from the catalog page (its heap
-  /// already exists in the file). Fails if the name is taken.
+  /// Registers a table whose heap exists (CreateTable's, or one read back
+  /// from the catalog page). Fails if the name is taken.
   [[nodiscard]] Result<TableInfo*> RestoreTable(std::unique_ptr<TableInfo> info)
       XO_EXCLUDES(mu_);
-  /// Re-registers a deserialized index and links it to its table.
+  /// Registers an index whose tree exists and links it to its table.
   [[nodiscard]] Result<IndexInfo*> RestoreIndex(std::unique_ptr<IndexInfo> info)
       XO_EXCLUDES(mu_);
 

@@ -8,6 +8,7 @@
 #include "common/span.h"
 #include "common/str_util.h"
 #include "common/varint.h"
+#include "ordb/row_codec.h"
 
 namespace xorator::ordb {
 
@@ -34,9 +35,11 @@ void RecordCloseStatus(const Status& s) XO_EXCLUDES(g_close_status_mu) {
 
 /// Meta-page catalog serialization (see DESIGN.md "Durability & fault
 /// tolerance"). Everything is varints after the magic; strings are
-/// length-prefixed.
+/// length-prefixed. Version 1 predates the key rule (IndexKey): it filed
+/// every DOUBLE and BOOLEAN key as Hash64(""), so LoadCatalog refuses it
+/// when it holds such an index and opens it otherwise.
 constexpr uint64_t kCatalogMagic = 0x47544358;  // "XCTG"
-constexpr uint64_t kCatalogVersion = 1;
+constexpr uint64_t kCatalogVersion = 2;
 
 void PutString(std::string* dst, std::string_view s) {
   PutVarint(dst, s.size());
@@ -51,6 +54,22 @@ Result<std::string> GetString(std::string_view src, size_t* pos) {
   std::string out(src.substr(*pos, len));
   *pos += len;
   return out;
+}
+
+/// Adds (`insert`) or removes the entries of `row`, the record stored at
+/// `rid`, in each of `indexes`: the one loop behind BulkInsert, DELETE and
+/// CreateIndex's backfill. Keys come from the stored bytes.
+Status UpdateIndexEntries(const std::vector<IndexInfo*>& indexes,
+                          const RowView& row, Rid rid, bool insert) {
+  for (IndexInfo* index : indexes) {
+    const std::optional<uint64_t> key = IndexKey(
+        index->key_type,
+        row.column(static_cast<size_t>(index->column_index)).ToValue());
+    if (!key) continue;
+    XO_RETURN_NOT_OK(insert ? index->tree->Insert(*key, rid.Encode())
+                            : index->tree->Delete(*key, rid.Encode()));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -80,44 +99,47 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return out;
 }
 
-Result<std::unique_ptr<Database>> Database::Open(const DbOptions& options) {
-  auto db = std::unique_ptr<Database>(new Database(options));
+Status Database::BuildStorageLocked() {
   std::unique_ptr<Pager> pager;
-  if (options.path.empty()) {
+  if (options_.path.empty()) {
     pager = std::make_unique<MemoryPager>();
   } else {
     // Roll back any interrupted epoch before the pager sees the file, so
     // torn final pages are healed before the size/alignment check.
-    const std::string wal_path = options.path + ".wal";
-    XO_RETURN_NOT_OK(RecoverFromWal(options.path, wal_path).status());
-    XO_ASSIGN_OR_RETURN(auto file_pager, FilePager::Open(options.path));
-    pager = std::move(file_pager);
-    XO_ASSIGN_OR_RETURN(db->wal_,
-                        Wal::Open(wal_path, pager->page_count()));
+    const std::string wal_path = options_.path + ".wal";
+    XO_RETURN_NOT_OK(RecoverFromWal(options_.path, wal_path).status());
+    XO_ASSIGN_OR_RETURN(pager, FilePager::Open(options_.path));
+    XO_ASSIGN_OR_RETURN(wal_, Wal::Open(wal_path, pager->page_count()));
   }
-  if (options.fault.has_value()) {
-    auto faulty =
-        std::make_unique<FaultInjectingPager>(std::move(pager), *options.fault);
-    db->fault_pager_ = faulty.get();
+  if (options_.fault.has_value()) {
+    // The *current* schedule: TryRecover() may follow a cleared one.
+    auto faulty = std::make_unique<FaultInjectingPager>(std::move(pager),
+                                                        *options_.fault);
+    fault_pager_ = faulty.get();
     pager = std::move(faulty);
   }
-  db->pager_ = std::move(pager);
-  db->pool_ =
-      std::make_unique<BufferPool>(db->pager_.get(), options.buffer_pool_pages);
-  db->pool_->set_wal(db->wal_.get());
-  db->pool_->set_health(&db->health_);
-  if (db->fault_pager_ != nullptr && db->wal_ != nullptr) {
+  pager_ = std::move(pager);
+  pool_ =
+      std::make_unique<BufferPool>(pager_.get(), options_.buffer_pool_pages);
+  pool_->set_wal(wal_.get());
+  pool_->set_health(&health_);
+  if (fault_pager_ != nullptr && wal_ != nullptr) {
     // Per-file fault scoping: WAL-append faults are drawn from the fault
     // pager's independent WAL stream (the WAL itself is an ofstream, not a
     // Pager, so it cannot be wrapped).
-    db->wal_->set_fault_hook(
-        [fp = db->fault_pager_] { return fp->DrawWalAppend(); });
+    wal_->set_fault_hook([fp = fault_pager_] { return fp->DrawWalAppend(); });
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<Database>> Database::Open(const DbOptions& options) {
+  auto db = std::unique_ptr<Database>(new Database(options));
   db->functions_ = FunctionRegistry::WithBuiltins();
   // The database is not published yet, but the locked helpers below
   // require the statement lock; taking it here is free and lets the
   // analysis check Open() against the same capability as every other path.
   xo::WriterLock lock(&db->mu_);
+  XO_RETURN_NOT_OK(db->BuildStorageLocked());
   if (db->wal_ != nullptr) {
     if (db->pager_->page_count() == 0) {
       // Fresh database: claim page 0 as the meta page and commit the
@@ -257,7 +279,7 @@ Status Database::LoadCatalog() {
     return Status::Corruption("meta page has no catalog (bad magic)");
   }
   XO_ASSIGN_OR_RETURN(uint64_t version, GetVarint(view, &pos));
-  if (version != kCatalogVersion) {
+  if (version != 1 && version != kCatalogVersion) {
     return Status::Corruption("catalog version " + std::to_string(version) +
                               " is not supported");
   }
@@ -306,6 +328,11 @@ Status Database::LoadCatalog() {
     }
     info->column_index = static_cast<int>(col);
     info->key_type = static_cast<TypeId>(type);
+    if (version == 1 && (info->key_type == TypeId::kDouble ||
+                         info->key_type == TypeId::kBoolean)) {
+      return Status::Corruption("catalog version 1: index '" + info->name +
+                                "' predates the key rule; recreate it");
+    }
     XO_ASSIGN_OR_RETURN(uint64_t root, GetVarint(view, &pos));
     XO_ASSIGN_OR_RETURN(uint64_t tree_pages, GetVarint(view, &pos));
     XO_ASSIGN_OR_RETURN(uint64_t entries, GetVarint(view, &pos));
@@ -507,17 +534,11 @@ Result<QueryResult> Database::ExecuteStmtLocked(const sql::Statement& stmt) {
         for (size_t i = 0; i < literals.size(); ++i) {
           const Value& v = literals[i];
           TypeId want = t->schema.columns[i].type;
-          if (v.is_null()) {
-            row.push_back(v);
-          } else if (want == TypeId::kVarchar &&
-                     v.type() == TypeId::kVarchar) {
+          if (v.is_null() || v.type() == want) {
             row.push_back(v);
           } else if (want == TypeId::kXadt && v.type() == TypeId::kVarchar) {
             // Raw XML text literal into an XADT column.
             row.push_back(Value::Xadt("R" + v.AsString()));
-          } else if (want == TypeId::kInteger &&
-                     v.type() == TypeId::kInteger) {
-            row.push_back(v);
           } else if (want == TypeId::kDouble) {
             row.push_back(Value::Double(v.AsDouble()));
           } else if (want == TypeId::kBoolean &&
@@ -555,6 +576,7 @@ Result<std::string> Database::Explain(const std::string& sql_text) {
       stmt.kind != sql::Statement::Kind::kExplain) {
     return Status::InvalidArgument("EXPLAIN requires a SELECT");
   }
+  XO_RETURN_NOT_OK(health_.CheckUsable());
   xo::ReaderLock lock(&mu_);
   return ExplainSelect(stmt.select, /*guard=*/nullptr);
 }
@@ -583,21 +605,17 @@ Status Database::CreateIndexLocked(const std::string& table,
   XO_ASSIGN_OR_RETURN(IndexInfo * index,
                       catalog_.CreateIndex(index_name, table, column,
                                            pool_.get()));
-  // Backfill from existing rows.
-  TableInfo* t = catalog_.FindTable(table);
+  // Backfill from existing rows, reading the key column in place.
+  const TableInfo* t = catalog_.FindTable(table);
+  const std::vector<IndexInfo*> just_this{index};
   HeapFile::Scanner scanner = t->heap->Scan();
   Rid rid;
   std::string record;
   while (true) {
     XO_ASSIGN_OR_RETURN(bool ok, scanner.Next(&rid, &record));
     if (!ok) break;
-    XO_ASSIGN_OR_RETURN(Tuple row, DecodeTuple(t->schema, record));
-    const Value& v = row[index->column_index];
-    if (v.is_null()) continue;
-    uint64_t key = index->key_type == TypeId::kInteger
-                       ? IntIndexKey(v.AsInt())
-                       : Hash64(v.AsString());
-    XO_RETURN_NOT_OK(index->tree->Insert(key, rid.Encode()));
+    XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(t->schema, record));
+    XO_RETURN_NOT_OK(UpdateIndexEntries(just_this, row, rid, /*insert=*/true));
   }
   return Status::OK();
 }
@@ -627,14 +645,10 @@ Status Database::BulkInsertLocked(const std::string& table,
     record.clear();
     EncodeTuple(t->schema, row, &record);
     XO_ASSIGN_OR_RETURN(Rid rid, t->heap->Insert(record));
-    for (IndexInfo* index : t->indexes) {
-      const Value& v = row[index->column_index];
-      if (v.is_null()) continue;
-      uint64_t key = index->key_type == TypeId::kInteger
-                         ? IntIndexKey(v.AsInt())
-                         : Hash64(v.AsString());
-      XO_RETURN_NOT_OK(index->tree->Insert(key, rid.Encode()));
-    }
+    if (t->indexes.empty()) continue;
+    XO_ASSIGN_OR_RETURN(RowView stored, RowView::Parse(t->schema, record));
+    XO_RETURN_NOT_OK(
+        UpdateIndexEntries(t->indexes, stored, rid, /*insert=*/true));
   }
   return Status::OK();
 }
@@ -667,21 +681,6 @@ Status Database::RunStats() {
   return Status::OK();
 }
 
-namespace {
-
-void CollectIndexableColumns(const sql::AstExpr& e,
-                             std::vector<std::string>* out) {
-  using sql::AstExpr;
-  if (e.kind == AstExpr::Kind::kCompare && e.op == CompareOp::kEq) {
-    for (const auto& c : e.children) {
-      if (c->kind == AstExpr::Kind::kColumn) out->push_back(c->name);
-    }
-  }
-  for (const auto& c : e.children) CollectIndexableColumns(*c, out);
-}
-
-}  // namespace
-
 Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   TableInfo* t = catalog_.FindTable(stmt.table);
   if (t == nullptr) {
@@ -695,7 +694,7 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
     XO_ASSIGN_OR_RETURN(where, planner.BindPredicate(stmt.table, *stmt.where));
   }
   ExecContext ctx;
-  std::vector<std::pair<Rid, Tuple>> doomed;
+  std::vector<std::pair<Rid, std::string>> doomed;  // rid, stored record
   // Guard polls and charges cover only the scan phase: once the apply loop
   // below starts mutating the heap, finishing is cheaper and cleaner than
   // stopping with half the matches deleted.
@@ -716,19 +715,14 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
     }
     if (match) {
       XO_RETURN_NOT_OK(doomed_arena.Charge(record.size() + sizeof(Rid)));
-      doomed.emplace_back(rid, std::move(row));
+      doomed.emplace_back(rid, std::move(record));
     }
   }
-  for (auto& [doomed_rid, row] : doomed) {
+  for (const auto& [doomed_rid, doomed_record] : doomed) {
     XO_RETURN_NOT_OK(t->heap->Delete(doomed_rid));
-    for (IndexInfo* index : t->indexes) {
-      const Value& v = row[index->column_index];
-      if (v.is_null()) continue;
-      uint64_t key = index->key_type == TypeId::kInteger
-                         ? IntIndexKey(v.AsInt())
-                         : Hash64(v.AsString());
-      XO_RETURN_NOT_OK(index->tree->Delete(key, doomed_rid.Encode()));
-    }
+    XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(t->schema, doomed_record));
+    XO_RETURN_NOT_OK(
+        UpdateIndexEntries(t->indexes, row, doomed_rid, /*insert=*/false));
   }
   QueryResult result;
   result.columns = {"deleted"};
@@ -740,46 +734,32 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
 Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
   XO_RETURN_NOT_OK(health_.CheckWritable());
   xo::WriterLock lock(&mu_);
+  Planner planner(&catalog_, &functions_, options_.planner);
   std::set<std::pair<std::string, std::string>> wanted;
   for (const std::string& q : queries) {
     auto parsed = sql::ParseSql(q);
-    if (!parsed.ok()) continue;
-    if (parsed->kind != sql::Statement::Kind::kSelect) continue;
-    const sql::SelectStmt& stmt = parsed->select;
-    if (stmt.where == nullptr) continue;
-    std::vector<std::string> cols;
-    CollectIndexableColumns(*stmt.where, &cols);
-    // Resolve alias.col / col names against the statement's FROM clause.
-    for (const std::string& name : cols) {
-      std::string alias;
-      std::string col = name;
-      size_t dot = name.find('.');
-      if (dot != std::string::npos) {
-        alias = name.substr(0, dot);
-        col = name.substr(dot + 1);
+    if (!parsed.ok() || parsed->kind != sql::Statement::Kind::kSelect) {
+      continue;
+    }
+    // A statement whose FROM clause does not resolve contributes nothing.
+    auto candidates = planner.IndexCandidates(parsed->select);
+    if (!candidates.ok()) continue;
+    for (const IndexCandidate& c : *candidates) {
+      const TableInfo& t = *c.table;
+      const ColumnDef& col = t.schema.columns[c.column];
+      if (col.type == TypeId::kXadt) continue;
+      // Like DB2's Index Wizard, skip columns where an equality match is
+      // unselective (more than ~50 rows per distinct value).
+      if (t.stats.collected && t.stats.row_count > 100 &&
+          t.stats.columns[c.column].ndv <
+              static_cast<double>(t.stats.row_count) * 0.02) {
+        continue;
       }
-      for (const sql::TableRef& ref : stmt.from) {
-        if (ref.is_function) continue;
-        if (!alias.empty() && !EqualsIgnoreCase(ref.alias, alias)) continue;
-        const TableInfo* t = catalog_.FindTable(ref.table);
-        if (t == nullptr) continue;
-        int idx = t->schema.ColumnIndex(col);
-        if (idx < 0) continue;
-        if (t->schema.columns[idx].type == TypeId::kXadt) continue;
-        // Like DB2's Index Wizard, skip columns where an equality match is
-        // unselective (more than ~50 rows per distinct value).
-        if (t->stats.collected && t->stats.row_count > 100 &&
-            t->stats.columns[idx].ndv <
-                static_cast<double>(t->stats.row_count) * 0.02) {
-          continue;
-        }
-        wanted.emplace(ref.table, col);
-      }
+      wanted.emplace(t.name, col.name);
     }
   }
   for (const auto& [table, col] : wanted) {
-    const TableInfo* t = catalog_.FindTable(table);
-    if (t != nullptr && t->FindIndex(col) == nullptr) {
+    if (catalog_.FindTable(table)->FindIndex(col) == nullptr) {
       XO_RETURN_NOT_OK(CreateIndexLocked(table, col));
     }
   }
@@ -787,35 +767,6 @@ Status Database::AdviseIndexes(const std::vector<std::string>& queries) {
 }
 
 // ----------------------------------------- failure containment (DESIGN.md §13)
-
-Status Database::RebuildStorageLocked() {
-  const std::string wal_path = options_.path + ".wal";
-  // Roll the file back to its last checkpoint first — dirty frames were
-  // just dropped, so the on-disk image may hold a partial epoch.
-  XO_RETURN_NOT_OK(RecoverFromWal(options_.path, wal_path).status());
-  XO_ASSIGN_OR_RETURN(auto file_pager, FilePager::Open(options_.path));
-  std::unique_ptr<Pager> pager = std::move(file_pager);
-  XO_ASSIGN_OR_RETURN(wal_, Wal::Open(wal_path, pager->page_count()));
-  if (options_.fault.has_value()) {
-    // Re-wrap with the *current* schedule: tests typically clear the fault
-    // options through mutable_options() before asking for recovery.
-    auto faulty =
-        std::make_unique<FaultInjectingPager>(std::move(pager),
-                                              *options_.fault);
-    fault_pager_ = faulty.get();
-    pager = std::move(faulty);
-    wal_->set_fault_hook([fp = fault_pager_] { return fp->DrawWalAppend(); });
-  }
-  pager_ = std::move(pager);
-  pool_ =
-      std::make_unique<BufferPool>(pager_.get(), options_.buffer_pool_pages);
-  pool_->set_wal(wal_.get());
-  pool_->set_health(&health_);
-  if (pager_->page_count() > 0) {
-    XO_RETURN_NOT_OK(LoadCatalog());
-  }
-  return Status::OK();
-}
 
 Status Database::TryRecover() {
   xo::WriterLock lock(&mu_);
@@ -845,7 +796,8 @@ Status Database::TryRecover() {
   fault_pager_ = nullptr;
   pager_.reset();
   opened_ = false;
-  Status rebuilt = RebuildStorageLocked();
+  Status rebuilt = BuildStorageLocked();
+  if (rebuilt.ok() && pager_->page_count() > 0) rebuilt = LoadCatalog();
   if (!rebuilt.ok()) {
     // The stack is gone (possibly partially null); only a reopen helps.
     // Queries fail fast via CheckUsable rather than dereferencing nulls.

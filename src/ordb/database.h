@@ -181,7 +181,8 @@ class Database {
   /// target holds mu_ shared (or is still queued behind a writer).
   [[nodiscard]] Status Cancel(uint64_t query_id) XO_EXCLUDES(guards_mu_);
 
-  /// Returns the EXPLAIN plan of a SELECT without running it.
+  /// Returns the EXPLAIN plan of a SELECT without running it (kUnavailable
+  /// on a Failed engine, as for `EXPLAIN ...`).
   [[nodiscard]] Result<std::string> Explain(const std::string& sql)
       XO_EXCLUDES(mu_);
 
@@ -239,7 +240,8 @@ class Database {
   [[nodiscard]] Status RunStats() XO_EXCLUDES(mu_);
 
   /// Creates indexes useful for `queries` (the paper's "DB2 Index Wizard"):
-  /// every column compared for equality against a literal or another column.
+  /// the columns Planner::IndexCandidates finds, except XADT columns and
+  /// columns with more than ~50 rows per distinct value.
   [[nodiscard]] Status AdviseIndexes(const std::vector<std::string>& queries)
       XO_EXCLUDES(mu_);
 
@@ -303,9 +305,9 @@ class Database {
   /// The unlatched checkpoint body; CheckpointLocked wraps it with the
   /// health gate and failure latching.
   [[nodiscard]] Status DoCheckpointLocked() XO_REQUIRES(mu_);
-  /// Rebuilds the file-backed storage stack (recovery → pager → WAL →
-  /// buffer pool → catalog) for TryRecover().
-  [[nodiscard]] Status RebuildStorageLocked() XO_REQUIRES(mu_);
+  /// Builds the storage stack (WAL recovery → pager → WAL → fault wrapper
+  /// → buffer pool) from options_, for Open() and TryRecover().
+  [[nodiscard]] Status BuildStorageLocked() XO_REQUIRES(mu_);
 
   /// RAII registration of a guard under a caller-chosen id in guards_,
   /// keyed for Database::Cancel(). Registration happens in the constructor

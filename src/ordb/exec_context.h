@@ -28,8 +28,6 @@ struct ExecContext {
   QueryGuard* guard = nullptr;
   /// UDF dispatch accounting for this query.
   UdfStats udf_stats;
-  /// Rows produced by the root operator (set by Database::Query).
-  uint64_t rows_out = 0;
 
   /// Degraded-scan mode (DESIGN.md §13): when true, table scans skip
   /// quarantined/corrupt pages and corrupt overflow chains instead of

@@ -1,6 +1,7 @@
 #include "ordb/executor.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/span.h"
 #include "common/str_util.h"
@@ -48,6 +49,13 @@ int CompareValueLists(const std::vector<Value>& a,
   return 0;
 }
 
+// SQL equality never holds for NULL, so an equi-join drops a row whose key
+// holds one (the NULL = NULL rows CompareValueLists would pair up).
+bool HasNull(const std::vector<Value>& keys) {
+  return std::any_of(keys.begin(), keys.end(),
+                     [](const Value& v) { return v.is_null(); });
+}
+
 void AppendRow(const Tuple& left, const Tuple& right, Tuple* out) {
   out->clear();
   out->reserve(left.size() + right.size());
@@ -58,7 +66,7 @@ void AppendRow(const Tuple& left, const Tuple& right, Tuple* out) {
 // Equality between an in-place column view and an owning key Value without
 // materializing the view: string payloads compare as views, numerics via a
 // (copy-free) Value. Used for the index-key rechecks, which are expected
-// to reject rows (hashed string keys), so a miss costs no allocation.
+// to reject rows (hashed keys), so a miss costs no allocation.
 bool ViewEqualsValue(const ValueView& view, const Value& key) {
   if (view.is_null()) return false;
   if ((view.type() == TypeId::kVarchar || view.type() == TypeId::kXadt) &&
@@ -180,11 +188,11 @@ IndexScanOp::IndexScanOp(const TableInfo* table, const IndexInfo* index,
 
 Status IndexScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  uint64_t k = index_->key_type == TypeId::kInteger
-                   ? IntIndexKey(key_.AsInt())
-                   : Hash64(key_.AsString());
-  XO_ASSIGN_OR_RETURN(rids_, index_->tree->Find(k));
+  rids_.clear();
   pos_ = 0;
+  if (std::optional<uint64_t> k = IndexKey(index_->key_type, key_)) {
+    XO_ASSIGN_OR_RETURN(rids_, index_->tree->Find(*k));
+  }
   return Status::OK();
 }
 
@@ -194,8 +202,8 @@ Result<bool> IndexScanOp::Next(Tuple* out) {
     Rid rid = Rid::Decode(rids_[pos_++]);
     XO_ASSIGN_OR_RETURN(record_, table_->heap->Get(rid));
     XO_ASSIGN_OR_RETURN(RowView row, RowView::Parse(table_->schema, record_));
-    // Recheck the key in place before materializing anything (string keys
-    // are hashed in the index, so false positives are expected): a
+    // Recheck the key in place before materializing anything (non-INTEGER
+    // keys are hashed in the index, so false positives are expected): a
     // mismatched row is skipped without a single string copy.
     if (!ViewEqualsValue(row.column(static_cast<size_t>(index_->column_index)),
                          key_)) {
@@ -362,6 +370,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     if (!*ok) break;
     auto keys = EvalKeys(left_keys_, row, ctx);
     XO_RETURN_NOT_OK(keys.status());
+    if (HasNull(*keys)) continue;
     RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
     table_[HashValues(*keys)].push_back(row);
   }
@@ -393,6 +402,7 @@ Result<bool> HashJoinOp::Next(Tuple* out) {
     XO_ASSIGN_OR_RETURN(bool ok, right_->Next(&probe_row_));
     if (!ok) return false;
     XO_ASSIGN_OR_RETURN(auto keys, EvalKeys(right_keys_, probe_row_, ctx_));
+    if (HasNull(keys)) continue;
     auto it = table_.find(HashValues(keys));
     if (it == table_.end()) continue;
     matches_ = &it->second;
@@ -443,6 +453,7 @@ Status SortMergeJoinOp::Open(ExecContext* ctx) {
       if (!*ok) break;
       auto k = EvalKeys(keys, row, ctx);
       XO_RETURN_NOT_OK(k.status());
+      if (HasNull(*k)) continue;
       RETURN_IF_ERROR(arena_.Charge(ApproxTupleBytes(row)));
       rows->emplace_back(std::move(*k), row);
     }
@@ -537,21 +548,17 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     : left_(std::move(left)),
       inner_(inner),
       index_(index),
+      inner_scan_(inner, index, Value::Null(), inner_alias),
       left_key_(std::move(left_key)),
       residual_(std::move(residual)) {
   columns_ = left_->columns();
-  for (const ColumnMeta& c : QualifiedColumns(*inner, inner_alias)) {
-    columns_.push_back(c);
-  }
+  for (const ColumnMeta& c : inner_scan_.columns()) columns_.push_back(c);
 }
 
 Status IndexNestedLoopJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  XO_RETURN_NOT_OK(left_->Open(ctx));
   left_valid_ = false;
-  rids_.clear();
-  rid_pos_ = 0;
-  return Status::OK();
+  return left_->Open(ctx);
 }
 
 Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
@@ -560,36 +567,19 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* out) {
     if (!left_valid_) {
       XO_ASSIGN_OR_RETURN(bool ok, left_->Next(&left_row_));
       if (!ok) return false;
+      XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_, ctx_));
+      inner_scan_.set_key(std::move(key));
+      XO_RETURN_NOT_OK(inner_scan_.Open(ctx_));
       left_valid_ = true;
-      XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_, ctx_));
-      if (key.is_null()) {
-        left_valid_ = false;
-        continue;
-      }
-      uint64_t k = index_->key_type == TypeId::kInteger
-                       ? IntIndexKey(key.AsInt())
-                       : Hash64(key.AsString());
-      XO_ASSIGN_OR_RETURN(rids_, index_->tree->Find(k));
-      rid_pos_ = 0;
     }
-    while (rid_pos_ < rids_.size()) {
-      Rid rid = Rid::Decode(rids_[rid_pos_++]);
-      XO_ASSIGN_OR_RETURN(record_, inner_->heap->Get(rid));
-      XO_ASSIGN_OR_RETURN(RowView row,
-                          RowView::Parse(inner_->schema, record_));
-      // Recheck the join key in place first (hashed string keys): a miss
-      // skips the row before any string is copied out of the record.
-      XO_ASSIGN_OR_RETURN(Value key, left_key_->Eval(left_row_, ctx_));
-      if (!ViewEqualsValue(
-              row.column(static_cast<size_t>(index_->column_index)), key)) {
-        continue;
-      }
-      row.Materialize(&inner_row_);
-      AppendRow(left_row_, inner_row_, out);
-      XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out, ctx_));
-      if (pass) return true;
+    XO_ASSIGN_OR_RETURN(bool found, inner_scan_.Next(&inner_row_));
+    if (!found) {
+      left_valid_ = false;
+      continue;
     }
-    left_valid_ = false;
+    AppendRow(left_row_, inner_row_, out);
+    XO_ASSIGN_OR_RETURN(bool pass, EvalPredicate(residual_.get(), *out, ctx_));
+    if (pass) return true;
   }
 }
 

@@ -81,11 +81,14 @@ class SeqScanOp : public Operator {
 };
 
 /// Point index scan: rows of `table` whose `index` column equals `key`.
-/// String keys are hashed in the index, so the column value is rechecked.
+/// Hashed keys admit collisions, so the column value is rechecked.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const TableInfo* table, const IndexInfo* index, Value key,
               const std::string& alias);
+
+  /// Probes for `key` instead at the next Open() (IndexNLJoin's inner).
+  void set_key(Value key) { key_ = std::move(key); }
 
   [[nodiscard]] Status Open(ExecContext* ctx) override;
   [[nodiscard]] Result<bool> Next(Tuple* out) override;
@@ -232,7 +235,7 @@ class SortMergeJoinOp : public Operator {
 };
 
 /// Index nested-loop join: for each outer row, look up matching inner rows
-/// through the inner table's index.
+/// through the inner table's index (an IndexScanOp re-keyed per row).
 class IndexNestedLoopJoinOp : public Operator {
  public:
   IndexNestedLoopJoinOp(OperatorPtr left, const TableInfo* inner,
@@ -251,17 +254,14 @@ class IndexNestedLoopJoinOp : public Operator {
   OperatorPtr left_;
   const TableInfo* inner_;
   const IndexInfo* index_;
+  IndexScanOp inner_scan_;
   ExprPtr left_key_;
   ExprPtr residual_;
   ExecContext* ctx_ = nullptr;
   Tuple left_row_;
   bool left_valid_ = false;
-  std::vector<uint64_t> rids_;
-  /// Reused record buffer / inner tuple for in-place rechecks and
-  /// capacity-recycling materialization (see SeqScanOp).
-  std::string record_;
+  /// Reused inner tuple, for capacity-recycling materialization.
   Tuple inner_row_;
-  size_t rid_pos_ = 0;
 };
 
 /// ORDER BY: materializes and sorts on Open.

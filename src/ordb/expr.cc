@@ -32,7 +32,9 @@ Result<Value> ColumnRefExpr::Eval(const Tuple& row, ExecContext*) const {
 }
 
 std::string LiteralExpr::ToString() const {
-  if (value_.type() == TypeId::kVarchar) return "'" + value_.ToString() + "'";
+  if (value_.type() == TypeId::kVarchar) {
+    return std::string("'").append(value_.AsString()).append("'");
+  }
   return value_.ToString();
 }
 
@@ -86,11 +88,13 @@ Result<Value> LogicExpr::Eval(const Tuple& row, ExecContext* ctx) const {
 std::string LogicExpr::ToString() const {
   switch (kind_) {
     case Kind::kNot:
-      return "NOT (" + lhs_->ToString() + ")";
+      return std::string("NOT (").append(lhs_->ToString()) + ")";
     case Kind::kAnd:
-      return "(" + lhs_->ToString() + " AND " + rhs_->ToString() + ")";
+      return std::string("(").append(lhs_->ToString()) + " AND " +
+             rhs_->ToString() + ")";
     case Kind::kOr:
-      return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
+      return std::string("(").append(lhs_->ToString()) + " OR " +
+             rhs_->ToString() + ")";
   }
   return "?";
 }

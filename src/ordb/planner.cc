@@ -234,6 +234,28 @@ void FlattenConjuncts(const AstExpr& e, std::vector<const AstExpr*>* out) {
   out->push_back(&e);
 }
 
+/// Recognizes `col = literal` (for selectivity, index scans and the index
+/// advisor); returns the column AST node and the literal.
+bool MatchColumnEqLiteral(const AstExpr& e, const AstExpr** col,
+                          const Value** literal) {
+  if (e.kind != AstExpr::Kind::kCompare || e.op != CompareOp::kEq) {
+    return false;
+  }
+  if (e.children[0]->kind == AstExpr::Kind::kColumn &&
+      e.children[1]->kind == AstExpr::Kind::kLiteral) {
+    *col = e.children[0].get();
+    *literal = &e.children[1]->literal;
+    return true;
+  }
+  if (e.children[1]->kind == AstExpr::Kind::kColumn &&
+      e.children[0]->kind == AstExpr::Kind::kLiteral) {
+    *col = e.children[1].get();
+    *literal = &e.children[0]->literal;
+    return true;
+  }
+  return false;
+}
+
 /// Crude selectivity model for base-table cardinality estimation. `e` is
 /// (part of) conjunct `c`, whose columns all belong to `table`.
 double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
@@ -242,15 +264,9 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
     case AstExpr::Kind::kCompare: {
       if (e.op != CompareOp::kEq) return 0.3;
       // col = literal: 1/ndv when stats exist.
-      const AstExpr* col = nullptr;
-      if (e.children[0]->kind == AstExpr::Kind::kColumn &&
-          e.children[1]->kind == AstExpr::Kind::kLiteral) {
-        col = e.children[0].get();
-      } else if (e.children[1]->kind == AstExpr::Kind::kColumn &&
-                 e.children[0]->kind == AstExpr::Kind::kLiteral) {
-        col = e.children[1].get();
-      }
-      if (col != nullptr && table.stats.collected) {
+      const AstExpr* col;
+      const Value* literal;
+      if (MatchColumnEqLiteral(e, &col, &literal) && table.stats.collected) {
         const Scope::Resolution* res = c.Find(col);
         if (res != nullptr && table.stats.columns[res->local].ndv > 0) {
           return 1.0 / table.stats.columns[res->local].ndv;
@@ -272,33 +288,91 @@ double EstimateSelectivity(const AstExpr& e, const TableInfo& table,
   }
 }
 
-/// Recognizes `col = literal` for index-scan selection; returns the column
-/// AST node and the literal.
-bool MatchColumnEqLiteral(const AstExpr& e, const AstExpr** col,
-                          const Value** literal) {
-  if (e.kind != AstExpr::Kind::kCompare || e.op != CompareOp::kEq) {
-    return false;
-  }
-  if (e.children[0]->kind == AstExpr::Kind::kColumn &&
-      e.children[1]->kind == AstExpr::Kind::kLiteral) {
-    *col = e.children[0].get();
-    *literal = &e.children[1]->literal;
-    return true;
-  }
-  if (e.children[1]->kind == AstExpr::Kind::kColumn &&
-      e.children[0]->kind == AstExpr::Kind::kLiteral) {
-    *col = e.children[1].get();
-    *literal = &e.children[0]->literal;
-    return true;
-  }
-  return false;
-}
-
 /// Recognizes `colA = colB` across two different items.
 bool MatchEquiJoin(const AstExpr& e) {
   return e.kind == AstExpr::Kind::kCompare && e.op == CompareOp::kEq &&
          e.children[0]->kind == AstExpr::Kind::kColumn &&
          e.children[1]->kind == AstExpr::Kind::kColumn;
+}
+
+/// Conjoins `pred` onto `*residual` (which may be null).
+void AndInto(ExprPtr* residual, ExprPtr pred) {
+  *residual = *residual == nullptr
+                  ? std::move(pred)
+                  : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
+                                          std::move(*residual),
+                                          std::move(pred)));
+}
+
+/// Outer-to-inner row ratio below which an index nested-loop join pays.
+constexpr double kIndexJoinOuterRatio = 0.25;
+
+/// A SELECT's FROM items and its resolved top-level WHERE conjuncts.
+struct FromWhere {
+  std::vector<FromItem> items;
+  std::vector<Conjunct> conjuncts;
+};
+
+/// Resolves the FROM items of `stmt` into one layout and classifies its
+/// WHERE conjuncts by the items they reference, for PlanSelect and
+/// IndexCandidates alike. A conjunct with an unknown or ambiguous column
+/// fails the call, or with `drop_unresolved` is left out.
+Result<FromWhere> ResolveFromWhere(const Catalog& catalog,
+                                   const FunctionRegistry& functions,
+                                   const sql::SelectStmt& stmt,
+                                   bool drop_unresolved) {
+  if (stmt.from.empty()) {
+    return Status::InvalidArgument("FROM clause is required");
+  }
+  FromWhere out;
+  out.items.reserve(stmt.from.size());
+  size_t offset = 0;
+  for (const sql::TableRef& ref : stmt.from) {
+    FromItem item;
+    item.alias = ref.alias;
+    if (ref.is_function) {
+      item.function = functions.FindTable(ref.function_name);
+      if (item.function == nullptr) {
+        return Status::NotFound("unknown table function '" +
+                                ref.function_name + "'");
+      }
+      item.columns.reserve(item.function->output.size());
+      for (const ColumnDef& c : item.function->output) {
+        item.columns.push_back({ref.alias + "." + c.name, c.type});
+      }
+    } else {
+      XO_ASSIGN_OR_RETURN(item, TableItem(catalog, ref.table, ref.alias));
+    }
+    item.offset = offset;
+    offset += item.columns.size();
+    out.items.push_back(std::move(item));
+  }
+  if (stmt.where == nullptr) return out;
+  const Scope scope(&out.items);
+  std::vector<const AstExpr*> flat;
+  FlattenConjuncts(*stmt.where, &flat);
+  out.conjuncts.reserve(flat.size());
+  std::vector<const AstExpr*> cols;
+  for (const AstExpr* e : flat) {
+    Conjunct c;
+    c.ast = e;
+    cols.clear();
+    CollectColumns(*e, &cols);
+    c.columns.reserve(cols.size());
+    bool resolved = true;
+    for (const AstExpr* col : cols) {
+      Result<Scope::Resolution> res = scope.Resolve(col->name);
+      if (!res.ok()) {
+        if (!drop_unresolved) return res.status();
+        resolved = false;
+        break;
+      }
+      c.items.insert(res->item);
+      c.columns.push_back({col, *res});
+    }
+    if (resolved) out.conjuncts.push_back(std::move(c));
+  }
+  return out;
 }
 
 }  // namespace
@@ -312,59 +386,36 @@ Result<ExprPtr> Planner::BindPredicate(const std::string& table,
   return Binder(&scope, functions_, &no_conjuncts).Bind(predicate);
 }
 
+Result<std::vector<IndexCandidate>> Planner::IndexCandidates(
+    const sql::SelectStmt& stmt) {
+  XO_ASSIGN_OR_RETURN(
+      FromWhere fw,
+      ResolveFromWhere(*catalog_, *functions_, stmt, /*drop_unresolved=*/true));
+  std::vector<IndexCandidate> out;
+  for (const Conjunct& c : fw.conjuncts) {
+    const AstExpr* col;
+    const Value* literal;
+    if (!MatchColumnEqLiteral(*c.ast, &col, &literal) &&
+        !(MatchEquiJoin(*c.ast) && c.items.size() == 2)) {
+      continue;
+    }
+    for (const ResolvedColumn& rc : c.columns) {  // one, or one per side
+      const TableInfo* table = fw.items[rc.res.item].table;
+      if (table != nullptr) out.push_back({table, rc.res.local});
+    }
+  }
+  return out;
+}
+
 Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
-  if (stmt.from.empty()) {
-    return Status::InvalidArgument("FROM clause is required");
-  }
-
-  // ---- Resolve FROM items and the combined layout. -----------------------
-  std::vector<FromItem> items;
-  items.reserve(stmt.from.size());
-  size_t offset = 0;
-  for (const sql::TableRef& ref : stmt.from) {
-    FromItem item;
-    item.alias = ref.alias;
-    if (ref.is_function) {
-      item.function = functions_->FindTable(ref.function_name);
-      if (item.function == nullptr) {
-        return Status::NotFound("unknown table function '" +
-                                ref.function_name + "'");
-      }
-      item.columns.reserve(item.function->output.size());
-      for (const ColumnDef& c : item.function->output) {
-        item.columns.push_back({ref.alias + "." + c.name, c.type});
-      }
-    } else {
-      XO_ASSIGN_OR_RETURN(item, TableItem(*catalog_, ref.table, ref.alias));
-    }
-    item.offset = offset;
-    offset += item.columns.size();
-    items.push_back(std::move(item));
-  }
+  // ---- Resolve FROM items and classify WHERE conjuncts by the items -----
+  // ---- they reference, each column reference resolved once. --------------
+  XO_ASSIGN_OR_RETURN(FromWhere fw,
+                      ResolveFromWhere(*catalog_, *functions_, stmt,
+                                       /*drop_unresolved=*/false));
+  const std::vector<FromItem>& items = fw.items;
+  std::vector<Conjunct>& conjuncts = fw.conjuncts;
   Scope scope(&items);
-
-  // ---- Classify WHERE conjuncts by the items they reference, resolving --
-  // ---- each column reference once for the rest of planning. -------------
-  std::vector<Conjunct> conjuncts;
-  if (stmt.where != nullptr) {
-    std::vector<const AstExpr*> flat;
-    FlattenConjuncts(*stmt.where, &flat);
-    conjuncts.reserve(flat.size());
-    std::vector<const AstExpr*> cols;
-    for (const AstExpr* e : flat) {
-      Conjunct c;
-      c.ast = e;
-      cols.clear();
-      CollectColumns(*e, &cols);
-      c.columns.reserve(cols.size());
-      for (const AstExpr* col : cols) {
-        XO_ASSIGN_OR_RETURN(auto res, scope.Resolve(col->name));
-        c.items.insert(res.item);
-        c.columns.push_back({col, res});
-      }
-      conjuncts.push_back(std::move(c));
-    }
-  }
   Binder binder(&scope, functions_, &conjuncts);
 
   // ---- Build each base access path with pushed-down filters. -------------
@@ -434,6 +485,12 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
 
   // ---- Left-deep join in FROM order. --------------------------------------
   std::set<size_t> joined;
+  // True when every item `c` references is joined or is `item`.
+  auto bound_with = [&](const Conjunct& c, size_t item) {
+    return std::all_of(c.items.begin(), c.items.end(), [&](size_t it) {
+      return it == item || joined.count(it) > 0;
+    });
+  };
   OperatorPtr plan;
   double acc_rows = 0;
   double acc_bytes_per_row = 64;
@@ -501,18 +558,9 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
         // Cross product with any applicable predicate as residual.
         ExprPtr residual;
         for (Conjunct& c : conjuncts) {
-          if (c.consumed || !c.items.count(i)) continue;
-          bool complete = true;
-          for (size_t it : c.items) {
-            if (it != i && !joined.count(it)) complete = false;
-          }
-          if (!complete) continue;
+          if (c.consumed || !c.items.count(i) || !bound_with(c, i)) continue;
           XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c.ast));
-          residual = residual == nullptr
-                         ? std::move(pred)
-                         : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
-                                                 std::move(residual),
-                                                 std::move(pred)));
+          AndInto(&residual, std::move(pred));
           c.consumed = true;
         }
         plan = std::make_unique<NestedLoopJoinOp>(
@@ -539,8 +587,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
           // selective relative to the inner table.
           double inner_rows =
               static_cast<double>(items[i].table->heap->record_count());
-          if (acc_rows <= options_.index_join_outer_ratio *
-                              std::max(inner_rows, 1.0)) {
+          if (acc_rows <= kIndexJoinOuterRatio * std::max(inner_rows, 1.0)) {
             for (JoinKey& k : keys) {
               const IndexInfo* idx =
                   IndexOn(*items[i].table, k.item_res->local);
@@ -555,11 +602,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
                 }
                 XO_ASSIGN_OR_RETURN(auto pred,
                                     binder.Bind(*other.conjunct->ast));
-                residual = residual == nullptr
-                               ? std::move(pred)
-                               : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
-                                                       std::move(residual),
-                                                       std::move(pred)));
+                AndInto(&residual, std::move(pred));
                 other.conjunct->consumed = true;
               }
               XO_ASSIGN_OR_RETURN(auto outer_key, binder.Bind(*k.acc_side));
@@ -567,11 +610,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
               // residual (the index join reads the base table directly).
               for (Conjunct* c : base_filters(i)) {
                 XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c->ast));
-                residual = residual == nullptr
-                               ? std::move(pred)
-                               : ExprPtr(new LogicExpr(LogicExpr::Kind::kAnd,
-                                                       std::move(residual),
-                                                       std::move(pred)));
+                AndInto(&residual, std::move(pred));
                 c->consumed = true;
               }
               plan = std::make_unique<IndexNestedLoopJoinOp>(
@@ -615,12 +654,7 @@ Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     joined.insert(i);
     // Apply any conjuncts that have just become fully bound.
     for (Conjunct& c : conjuncts) {
-      if (c.consumed) continue;
-      bool complete = true;
-      for (size_t it : c.items) {
-        if (!joined.count(it)) complete = false;
-      }
-      if (!complete) continue;
+      if (c.consumed || !bound_with(c, i)) continue;
       XO_ASSIGN_OR_RETURN(auto pred, binder.Bind(*c.ast));
       plan = std::make_unique<FilterOp>(std::move(plan), std::move(pred));
       c.consumed = true;

@@ -20,12 +20,15 @@ struct PlannerOptions {
   /// sort-merge (how the Figure 13 crossover arises at larger scales).
   size_t sort_heap_bytes = 8u << 20;
   bool enable_hash_join = true;
-  /// Use index nested-loop joins when the outer side is estimated to be
-  /// selective and the inner column has an index.
+  /// Use index nested-loop joins when the outer side is estimated at most
+  /// a quarter of the inner table's rows and the inner column is indexed.
   bool enable_index_join = true;
-  /// Outer-to-inner row ratio below which an index nested-loop join is
-  /// considered profitable.
-  double index_join_outer_ratio = 0.25;
+};
+
+/// A base-table column (its schema position) a plan can reach by index.
+struct IndexCandidate {
+  const TableInfo* table;
+  size_t column;
 };
 
 /// Translates a parsed SELECT into a physical operator tree over the
@@ -39,6 +42,14 @@ class Planner {
       : catalog_(catalog), functions_(functions), options_(options) {}
 
   [[nodiscard]] Result<OperatorPtr> PlanSelect(const sql::SelectStmt& stmt);
+
+  /// The columns PlanSelect could reach by index in `stmt`, for the index
+  /// advisor: those of top-level `col = literal` conjuncts (IndexScan) and
+  /// of `colA = colB` conjuncts across two FROM items (IndexNLJoin). Names
+  /// resolve as in PlanSelect; an unresolved FROM entry fails the call, a
+  /// conjunct with an unresolved column adds nothing.
+  [[nodiscard]] Result<std::vector<IndexCandidate>> IndexCandidates(
+      const sql::SelectStmt& stmt);
 
   /// Binds `predicate` against the rows of base table `table`, resolving
   /// columns (bare or qualified by the table name) and functions as

@@ -11,21 +11,22 @@ std::string AstExpr::ToString() const {
     case Kind::kColumn:
       return name;
     case Kind::kLiteral:
-      return literal.type() == TypeId::kVarchar ? "'" + literal.ToString() + "'"
-                                                : literal.ToString();
+      return literal.type() == TypeId::kVarchar
+                 ? std::string("'").append(literal.AsString()).append("'")
+                 : literal.ToString();
     case Kind::kStar:
       return "*";
     case Kind::kCompare:
       return children[0]->ToString() + " " + std::string(CompareOpName(op)) +
              " " + children[1]->ToString();
     case Kind::kAnd:
-      return "(" + children[0]->ToString() + " AND " +
+      return std::string("(").append(children[0]->ToString()) + " AND " +
              children[1]->ToString() + ")";
     case Kind::kOr:
-      return "(" + children[0]->ToString() + " OR " + children[1]->ToString() +
-             ")";
+      return std::string("(").append(children[0]->ToString()) + " OR " +
+             children[1]->ToString() + ")";
     case Kind::kNot:
-      return "NOT (" + children[0]->ToString() + ")";
+      return std::string("NOT (").append(children[0]->ToString()) + ")";
     case Kind::kLike:
       return children[0]->ToString() + " LIKE '" + pattern + "'";
     case Kind::kIsNull:

@@ -1,6 +1,7 @@
 #include "ordb/value.h"
 
 #include <bit>
+#include <cmath>
 
 #include "common/safe_math.h"
 #include "common/str_util.h"
@@ -23,6 +24,12 @@ std::string_view TypeName(TypeId t) {
       return "XADT";
   }
   return "?";
+}
+
+std::optional<int64_t> ExactInt64(double d) {
+  // ±2^63 are exact doubles; NaN fails both comparisons.
+  if (!(d >= -0x1p63 && d < 0x1p63) || d != std::trunc(d)) return std::nullopt;
+  return static_cast<int64_t>(d);
 }
 
 int Value::Compare(const Value& other) const {
@@ -56,12 +63,9 @@ uint64_t Value::Hash() const {
     case TypeId::kDouble: {
       // Hash doubles through their integer value when exact so that
       // 1 == 1.0 hashes consistently.
-      auto as_int = static_cast<int64_t>(double_);
-      if (static_cast<double>(as_int) == double_) {
-        return xo::WrapMul(static_cast<uint64_t>(as_int),
-                           0x9e3779b97f4a7c15ULL);
-      }
-      return xo::WrapMul(std::bit_cast<uint64_t>(double_),
+      const std::optional<int64_t> as_int = ExactInt64(double_);
+      return xo::WrapMul(as_int ? static_cast<uint64_t>(*as_int)
+                                : std::bit_cast<uint64_t>(double_),
                          0x9e3779b97f4a7c15ULL);
     }
     case TypeId::kVarchar:

@@ -2,6 +2,7 @@
 #define XORATOR_ORDB_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -21,6 +22,9 @@ enum class TypeId : uint8_t {
 };
 
 std::string_view TypeName(TypeId t);
+
+/// `d` as an int64 when it holds one exactly (3.0 -> 3), else nullopt.
+std::optional<int64_t> ExactInt64(double d);
 
 /// A dynamically-typed SQL value. Strings and XADT payloads share the string
 /// storage; nulls are typed `kNull`.
@@ -113,7 +117,6 @@ class Value {
   /// VARCHAR text or raw XADT bytes. The reference borrows from this Value
   /// (statically checked under Clang, DESIGN.md section 14).
   const std::string& AsString() const XO_LIFETIME_BOUND { return str_; }
-  std::string&& TakeString() XO_LIFETIME_BOUND { return std::move(str_); }
 
   /// Three-way comparison; requires comparable types (numeric/numeric or
   /// same type). Nulls compare less than everything (used only for sorting).

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string_view>
+#include <vector>
 
 #include "ordb/database.h"
 #include "xadt/functions.h"
@@ -296,6 +297,83 @@ TEST_F(EngineTest, AdviseIndexesCreatesJoinIndexes) {
   EXPECT_NE(dept->FindIndex("id"), nullptr);
   EXPECT_NE(dept->FindIndex("dname"), nullptr);
   EXPECT_GT(db_->IndexBytes(), 0u);
+}
+
+/// "table.column" of every index, in creation order.
+std::vector<std::string> IndexedColumns(Database* db) {
+  std::vector<std::string> out;
+  for (const IndexInfo* index : db->catalog()->indexes()) {
+    out.push_back(index->table + "." + index->column);
+  }
+  return out;
+}
+
+TEST_F(EngineTest, AdvisorResolvesNamesAsThePlannerDoes) {
+  // Mixed case reaches the planner's case-insensitive lookup, and the
+  // index is named by the schema's spelling.
+  ASSERT_TRUE(db_->AdviseIndexes({"SELECT name FROM emp WHERE DEPT = 3"}).ok());
+  EXPECT_EQ(IndexedColumns(db_.get()), std::vector<std::string>{"emp.dept"});
+  QueryResult plan = Q("EXPLAIN SELECT name FROM emp WHERE DEPT = 10");
+  ASSERT_EQ(plan.rows.size(), 1u);
+  EXPECT_NE(plan.rows[0][0].AsString().find("IndexScan(emp AS emp ON dept"),
+            std::string::npos)
+      << plan.rows[0][0].AsString();
+}
+
+TEST_F(EngineTest, AdvisorSkipsEqualitiesNoIndexServes) {
+  // Only top-level conjuncts reach an index: not under OR or NOT, and a
+  // same-table `a = b` is a filter, not a join.
+  ASSERT_TRUE(db_->AdviseIndexes({"SELECT name FROM emp WHERE id = 1 OR "
+                                  "salary = 2",
+                                  "SELECT name FROM emp WHERE NOT (id = 1)",
+                                  "SELECT name FROM emp WHERE id = dept"})
+                  .ok());
+  EXPECT_EQ(IndexedColumns(db_.get()), std::vector<std::string>{});
+}
+
+TEST_F(EngineTest, AdvisorIgnoresWhatDoesNotResolve) {
+  ASSERT_TRUE(
+      db_->AdviseIndexes({// `id` is ambiguous; `dname` still advises.
+                          "SELECT name FROM emp, dept WHERE id = 1 "
+                          "AND dname = 'eng'",
+                          // An unknown FROM entry: the statement adds none.
+                          "SELECT name FROM emp, nosuch WHERE emp.salary = 5",
+                          // An unknown WHERE column adds nothing itself.
+                          "SELECT name FROM emp WHERE nosuch = 1"})
+          .ok());
+  EXPECT_EQ(IndexedColumns(db_.get()), std::vector<std::string>{"dept.dname"});
+}
+
+TEST_F(EngineTest, AdvisorIgnoresTheSelectList) {
+  // The select list is not bound: an unknown column there still lets the
+  // WHERE equalities advise.
+  ASSERT_TRUE(
+      db_->AdviseIndexes({"SELECT nosuch FROM emp WHERE salary = 100"}).ok());
+  EXPECT_EQ(IndexedColumns(db_.get()),
+            std::vector<std::string>{"emp.salary"});
+}
+
+TEST(EngineJoinTest, EquiJoinsNeverPairNullKeys) {
+  // NULL = NULL is not true, so neither join algorithm pairs NULL keys.
+  for (const char* algorithm : {"HashJoin", "SortMergeJoin"}) {
+    auto db = OpenDb();
+    ASSERT_TRUE(db->Execute("CREATE TABLE a (k INTEGER)").ok());
+    ASSERT_TRUE(db->Execute("CREATE TABLE b (k INTEGER)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO a VALUES (1), (NULL), (NULL)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO b VALUES (NULL), (1), (2)").ok());
+    if (std::string_view(algorithm) == "SortMergeJoin") {
+      db->mutable_options()->planner.sort_heap_bytes = 0;
+    }
+    const std::string sql = "SELECT a.k, b.k FROM a, b WHERE a.k = b.k";
+    auto plan = db->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find(algorithm), std::string::npos) << *plan;
+    auto r = db->Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << algorithm;
+    EXPECT_EQ(r->rows[0][0].AsInt(), 1);
+    EXPECT_EQ(r->rows[0][1].AsInt(), 1);
+  }
 }
 
 TEST_F(EngineTest, RunStatsCollectsNdv) {

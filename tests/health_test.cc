@@ -250,7 +250,8 @@ TEST(HealthDatabaseTest, ReadOnlyEngineFreezesDirtyWriteBack) {
   std::string values;
   for (int i = 0; i < 400; ++i) {
     if (!values.empty()) values += ", ";
-    values += "(" + std::to_string(i) + ", '" + pad + std::to_string(i) + "')";
+    values.append("(").append(std::to_string(i)).append(", '").append(pad);
+    values.append(std::to_string(i)).append("')");
   }
   ASSERT_TRUE((*db)->Execute("INSERT INTO t VALUES " + values).ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
@@ -304,6 +305,22 @@ TEST(HealthDatabaseTest, MemoryBackedTryRecoverReArmsTheMachine) {
   EXPECT_EQ(HealthRow(db, "health"), "Healthy");
   // TryRecover on an already-healthy engine is a no-op.
   ASSERT_TRUE(db->TryRecover().ok());
+}
+
+TEST(HealthDatabaseTest, FailedEngineRefusesBothExplainPaths) {
+  auto opened = Database::Open({});
+  ASSERT_TRUE(opened.ok());
+  Database* db = opened->get();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INTEGER)").ok());
+  ASSERT_TRUE(db->Explain("SELECT a FROM t").ok());
+  db->health()->ReportFailed("storage stack detached");
+  // Database::Explain passes the same gate as `EXPLAIN ...` statements.
+  auto api = db->Explain("SELECT a FROM t");
+  ASSERT_FALSE(api.ok());
+  EXPECT_EQ(api.status().code(), StatusCode::kUnavailable);
+  auto statement = db->Query("EXPLAIN SELECT a FROM t");
+  ASSERT_FALSE(statement.ok());
+  EXPECT_EQ(statement.status().code(), StatusCode::kUnavailable);
 }
 
 // ------------------------------------------------------- the PRAGMA surface
@@ -377,8 +394,9 @@ TEST(HealthDegradedScanTest, SkipQuarantinedSelectSurvivesACorruptHeapPage) {
     std::string insert = "INSERT INTO t VALUES ";
     for (int i = 0; i < kRows; ++i) {
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(i) + ", 'payload-payload-payload-" +
-                std::to_string(i) + "')";
+      insert.append("(").append(std::to_string(i));
+      insert.append(", 'payload-payload-payload-").append(std::to_string(i));
+      insert.append("')");
     }
     ASSERT_TRUE((*db)->Execute(insert).ok());
     const ordb::TableInfo* t = (*db)->catalog()->FindTable("t");

@@ -57,7 +57,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   TableSchema schema;
   for (size_t i = 0; i < ncols; ++i) {
     schema.columns.push_back(
-        {"c" + std::to_string(i), static_cast<TypeId>(data[1 + i] % 6)});
+        {std::string("c").append(std::to_string(i)),
+         static_cast<TypeId>(data[1 + i] % 6)});
   }
   const std::string_view record(
       reinterpret_cast<const char*>(data) + 1 + ncols, size - 1 - ncols);
